@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -598,6 +599,11 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+# argparse reads a negative number only in plain form as a value and takes
+# "-2.6e-06" for an option; this pattern also admits the exponent form.
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cho",
@@ -626,6 +632,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--to", dest="stop", type=float, required=True)
     sweep.add_argument("--steps", type=int, required=True)
     sweep.add_argument("--format", choices=("text", "json"), default="text")
+
+    for command in (analyze, check, sweep):
+        command._negative_number_matcher = _NEGATIVE_NUMBER
     return parser
 
 

@@ -6,10 +6,17 @@ with partial pivoting, and characteristic polynomials use the
 Faddeev-LeVerrier recursion.  numpy.linalg is deliberately not used so
 that the test suite can hold these routines against it as an independent
 reference.
+
+The Jacobi rotations run on nested lists of Python floats rather than on
+the array: at n <= 16 indexing numpy scalars costs far more than the
+arithmetic.  Python floats and float64 scalars perform the same correctly
+rounded IEEE operations, so the results are the same to the bit as those
+of the same loop on the array.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +37,6 @@ __all__ = [
     "leading_principal_minors",
     "det",
     "inverse",
-    "matmul",
-    "transpose",
     "char_poly_coeffs",
     "max_abs",
 ]
@@ -109,14 +114,15 @@ class EigDecomposition:
 
 def _tie_sorted_order(values: np.ndarray) -> np.ndarray:
     """Ascending order; near-degenerate runs keep original column order."""
-    order = list(np.argsort(values, kind="stable"))
+    order = np.argsort(values, kind="stable").tolist()
+    vals = values.tolist()
     out = []
     i = 0
     while i < len(order):
         j = i
         while j + 1 < len(order):
-            a = values[order[j]]
-            b = values[order[j + 1]]
+            a = vals[order[j]]
+            b = vals[order[j + 1]]
             if abs(b - a) <= _TIE_RTOL * (1.0 + abs(a)):
                 j += 1
             else:
@@ -127,12 +133,10 @@ def _tie_sorted_order(values: np.ndarray) -> np.ndarray:
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    for k in range(vectors.shape[1]):
-        col = vectors[:, k]
-        lead = int(np.argmax(np.abs(col)))
-        if col[lead] < 0.0:
-            vectors[:, k] = -col
-    return vectors
+    """Negate each column whose largest-magnitude entry is negative."""
+    lead = np.abs(vectors).argmax(axis=0)
+    flip = vectors[lead, np.arange(vectors.shape[1])] < 0.0
+    return np.negative(vectors, out=vectors, where=flip)
 
 
 def jacobi_eigh(s, tol: float = 1e-12, max_sweeps: int = 50) -> EigDecomposition:
@@ -160,57 +164,77 @@ def jacobi_eigh(s, tol: float = 1e-12, max_sweeps: int = 50) -> EigDecomposition
     NonConvergence
         If the off-diagonal norm is still above threshold after
         ``max_sweeps`` sweeps.
+
+    Notes
+    -----
+    The rotations work on nested lists of Python floats, which is several
+    times faster than indexing the array entry by entry.  Each operation
+    is the same correctly rounded IEEE operation on the same operands in
+    the same order, so values and vectors are bit-identical to running
+    the loop on the array.  The stop test still runs on an array rebuilt
+    once per sweep, so the sweep count is unchanged too.  Every division
+    has a divisor that is nonzero or at least 1, and no power operator is
+    used, so Python's float arithmetic never raises where numpy's would
+    return inf or nan.
     """
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
-    a = np.array(_as_sym(s).mat, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
+    m = _as_sym(s).mat
+    n = m.shape[0]
+    a = m.tolist()
+    v = np.eye(n).tolist()
+    idx = np.arange(n)
+    lower = idx[:, None] > idx
 
     def offdiag(m):
-        return np.sqrt(np.sum(np.tril(m, -1) ** 2) * 2.0)
+        # np.where on this mask is np.tril(m, -1), with the mask built once
+        return np.sqrt(np.sum(np.where(lower, m, 0.0) ** 2) * 2.0)
 
     def threshold(m):
         return tol * (1.0 + np.sqrt(np.sum(np.diagonal(m) ** 2)))
 
     sweeps = 0
-    while offdiag(a) > threshold(a):
+    while offdiag(m) > threshold(m):
         if sweeps >= max_sweeps:
-            raise NonConvergence(sweeps, offdiag(a))
+            raise NonConvergence(sweeps, offdiag(m))
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = a[p][q]
                 if apq == 0.0:
                     continue
-                app, aqq = a[p, p], a[q, q]
+                app, aqq = a[p][p], a[q][q]
                 if abs(apq) < 1e-20 * (abs(app) + abs(aqq)):
-                    a[p, q] = a[q, p] = 0.0
+                    a[p][q] = a[q][p] = 0.0
                     continue
                 tau = (aqq - app) / (2.0 * apq)
                 if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
                 else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
+                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
                 sn = t * c
-                for i in range(n):
-                    if i != p and i != q:
-                        aip, aiq = a[i, p], a[i, q]
-                        a[i, p] = a[p, i] = c * aip - sn * aiq
-                        a[i, q] = a[q, i] = c * aiq + sn * aip
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-                for i in range(n):
-                    vip, viq = v[i, p], v[i, q]
-                    v[i, p] = c * vip - sn * viq
-                    v[i, q] = c * viq + sn * vip
+                # Rotate columns p and q in place, overwrite the four entries
+                # where they cross, then copy the columns into rows p and q.
+                for row in a:
+                    x, y = row[p], row[q]
+                    row[p] = c * x - sn * y
+                    row[q] = c * y + sn * x
+                a[p][p] = app - t * apq
+                a[q][q] = aqq + t * apq
+                a[p][q] = a[q][p] = 0.0
+                a[p] = [row[p] for row in a]
+                a[q] = [row[q] for row in a]
+                for row in v:
+                    x, y = row[p], row[q]
+                    row[p] = c * x - sn * y
+                    row[q] = c * y + sn * x
         sweeps += 1
+        m = np.array(a)
 
-    values = np.diagonal(a).copy()
+    values = np.diagonal(m).copy()
     order = _tie_sorted_order(values)
     values = values[order]
-    vectors = _fix_signs(v[:, order].copy())
+    vectors = _fix_signs(np.array(v)[:, order].copy())
     values.setflags(write=False)
     vectors.setflags(write=False)
     return EigDecomposition(values=values, vectors=vectors)
@@ -295,18 +319,6 @@ def inverse(a) -> np.ndarray:
             if row != col and aug[row, col] != 0.0:
                 aug[row] -= aug[row, col] * aug[col]
     return aug[:, n:]
-
-
-def matmul(a, b) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape[-1] != b.shape[0]:
-        raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
-def transpose(a) -> np.ndarray:
-    return np.asarray(a, dtype=float).T.copy()
 
 
 def char_poly_coeffs(a) -> np.ndarray:

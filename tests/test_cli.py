@@ -310,6 +310,31 @@ def test_sweep_rejects_bad_param(capsys):
     capsys.readouterr()
 
 
+def test_sweep_accepts_negative_bounds_in_exponent_form(capsys):
+    base = ["sweep", str(DATA / "two_coupled.json"), "--param", "D:1,2",
+            "--steps", "3", "--format", "json"]
+    for start, stop in (("-2.6e-06", "1e-3"), ("-3E+1", "-1.5e-1"), ("-.5e1", "-1.")):
+        assert main(base + ["--from", start, "--to", stop]) == 0
+        spaced = capsys.readouterr().out
+        assert main(base + [f"--from={start}", f"--to={stop}"]) == 0
+        assert spaced == capsys.readouterr().out
+        doc = json.loads(spaced)
+        assert (doc["from"], doc["to"]) == (float(start), float(stop))
+
+
+def test_extreme_masses_exit_3_with_error_line(tmp_path, capsys):
+    # S spans 1e-300..1e300: the eigensolver squares entries past the float
+    # range and must still hand over to the usual checks, not raise
+    for extra in ({}, {"couplings": [[1, 2, 0.5]]}):
+        path = write_model(
+            tmp_path, {"masses": [1e300, 1e-300], "stiffness_diag": [1, 1], **extra}
+        )
+        assert main(["analyze", path]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
 # --- golden reports ---------------------------------------------------------------
 
 

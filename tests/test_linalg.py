@@ -1,5 +1,7 @@
 """Dense symmetric linear algebra against numpy.linalg as the oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,6 +106,170 @@ def test_jacobi_nonconvergence_reports_offdiag():
         jacobi_eigh(s, max_sweeps=1)
     assert err.value.sweeps == 1
     assert err.value.offdiag > 0
+
+
+# --- Jacobi: bit identity with the loop on numpy scalars ------------------------
+#
+# jacobi_eigh rotates nested lists of Python floats.  The reference below is
+# the same algorithm run on numpy float64 scalars, entry by entry, as the
+# library did before; the two must agree to the bit.
+
+
+def _reference_tie_order(values):
+    order = list(np.argsort(values, kind="stable"))
+    out = []
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order):
+            a = values[order[j]]
+            b = values[order[j + 1]]
+            if abs(b - a) <= 1e-12 * (1.0 + abs(a)):
+                j += 1
+            else:
+                break
+        out.extend(sorted(order[i:j + 1]))
+        i = j + 1
+    return np.array(out, dtype=int)
+
+
+def _reference_fix_signs(vectors):
+    for k in range(vectors.shape[1]):
+        col = vectors[:, k]
+        lead = int(np.argmax(np.abs(col)))
+        if col[lead] < 0.0:
+            vectors[:, k] = -col
+    return vectors
+
+
+def _reference_jacobi(m, tol=1e-12, max_sweeps=50):
+    a = np.array(m, dtype=float)
+    n = a.shape[0]
+    v = np.eye(n)
+
+    def offdiag(m):
+        return np.sqrt(np.sum(np.tril(m, -1) ** 2) * 2.0)
+
+    def threshold(m):
+        return tol * (1.0 + np.sqrt(np.sum(np.diagonal(m) ** 2)))
+
+    sweeps = 0
+    while offdiag(a) > threshold(a):
+        if sweeps >= max_sweeps:
+            raise NonConvergence(sweeps, offdiag(a))
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                app, aqq = a[p, p], a[q, q]
+                if abs(apq) < 1e-20 * (abs(app) + abs(aqq)):
+                    a[p, q] = a[q, p] = 0.0
+                    continue
+                tau = (aqq - app) / (2.0 * apq)
+                if tau >= 0.0:
+                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
+                else:
+                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                sn = t * c
+                for i in range(n):
+                    if i != p and i != q:
+                        aip, aiq = a[i, p], a[i, q]
+                        a[i, p] = a[p, i] = c * aip - sn * aiq
+                        a[i, q] = a[q, i] = c * aiq + sn * aip
+                a[p, p] = app - t * apq
+                a[q, q] = aqq + t * apq
+                a[p, q] = a[q, p] = 0.0
+                for i in range(n):
+                    vip, viq = v[i, p], v[i, q]
+                    v[i, p] = c * vip - sn * viq
+                    v[i, q] = c * viq + sn * vip
+        sweeps += 1
+    values = np.diagonal(a).copy()
+    order = _reference_tie_order(values)
+    return values[order], _reference_fix_signs(v[:, order].copy())
+
+
+def _sym(a):
+    return np.tril(a) + np.tril(a, -1).T
+
+
+def _bit_identity_cases(kind, n, rng):
+    """Seeded symmetric matrices of one kind and size."""
+    a = _sym(rng.normal(size=(n, n)))
+    k = n // 2
+    if kind == "plain":
+        return a
+    if kind == "tiny_offdiag":
+        # the two diagonal blocks stay coupled through entries far below
+        # 1e-20 of the diagonal, which the solver zeroes instead of rotating
+        a[k:, :k] *= 1e-24
+        return _sym(a)
+    if kind == "exact_zeros":
+        a[k:, :k] = 0.0
+        a[rng.random((n, n)) < 0.3] = 0.0
+        return _sym(a)
+    if kind == "ties":
+        q = _sym(rng.normal(size=(n, n)))
+        basis = np.linalg.eigh(q)[1]
+        d = rng.integers(-1, 2, size=n).astype(float)
+        return _sym((basis * d) @ basis.T)
+    if kind == "ones":
+        return np.ones((n, n)) + (rng.integers(0, 2) * 2.0) * np.eye(n)
+    if kind == "graded":
+        g = 10.0 ** np.linspace(-6, 6, n)
+        return _sym(a * np.outer(g, g))
+    if kind.startswith("scale"):
+        return a * 10.0 ** float(kind[5:])
+    raise ValueError(kind)
+
+
+_KINDS = ["plain", "tiny_offdiag", "exact_zeros", "ties", "ones", "graded",
+          "scale-150", "scale-6", "scale6", "scale150"]
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_jacobi_bit_identical_to_numpy_scalar_loop(kind):
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    for n in range(1, 17):
+        for _ in range(2):
+            m = _bit_identity_cases(kind, n, rng)
+            values, vectors = _reference_jacobi(m)
+            eig = jacobi_eigh(SymMatrix(m))
+            assert np.array_equal(eig.values, values), (kind, n)
+            assert np.array_equal(eig.vectors, vectors), (kind, n)
+
+
+def test_jacobi_nonconvergence_matches_numpy_scalar_loop():
+    rng = np.random.default_rng(17)
+    for n in (3, 6, 11, 16):
+        m = _bit_identity_cases("plain", n, rng)
+        with pytest.raises(NonConvergence) as ref:
+            _reference_jacobi(m, max_sweeps=1)
+        with pytest.raises(NonConvergence) as err:
+            jacobi_eigh(SymMatrix(m), max_sweeps=1)
+        assert err.value.sweeps == ref.value.sweeps == 1
+        assert err.value.offdiag == ref.value.offdiag
+
+
+def test_jacobi_overflowing_entries_match_without_raising():
+    # Python float arithmetic raises where numpy returns inf only for ** and
+    # division by zero; entries near the float limit must still go through
+    big = 1.5e308
+    cases = [
+        [[1.0, big, big], [big, 1.0, -big], [big, -big, 1.0]],
+        [[1e-300, 0.25], [0.25, 1e300]],
+        [[1.0, 1e200], [1e200, 1.0]],
+    ]
+    for m in cases:
+        m = np.array(m)
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            values, vectors = _reference_jacobi(m)
+            eig = jacobi_eigh(SymMatrix(m))
+        assert np.array_equal(eig.values, values, equal_nan=True)
+        assert np.array_equal(eig.vectors, vectors, equal_nan=True)
 
 
 def test_jacobi_results_frozen():
