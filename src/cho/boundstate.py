@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagonalize import Analysis, analyse
 from .errors import ConsistencyError, WrongDimension
-from .linalg import jacobi_eigh, leading_principal_minors, max_abs
-from .model import OscillatorModel, build_T, build_V
-from .diagonalize import compute_S
+from .linalg import leading_principal_minors, max_abs
+from .model import OscillatorModel
 
 __all__ = [
     "BOUND",
@@ -32,6 +32,7 @@ __all__ = [
     "BoundStateReport",
     "CoefficientConditions",
     "CONDITION_TERMS",
+    "bound_state",
     "classify",
     "n2_conditions",
     "n2_closed_eigenvalues",
@@ -360,8 +361,10 @@ class BoundStateReport:
     discriminant: float | None
 
 
-def _agree(value: float, reference: float, rtol: float = 1e-8) -> bool:
-    return abs(value - reference) <= rtol * (1.0 + max(abs(value), abs(reference)))
+def _agreement(name: str, value: float, reference: float,
+               rtol: float = 1e-8) -> ClosedFormCheck:
+    passed = abs(value - reference) <= rtol * (1.0 + max(abs(value), abs(reference)))
+    return ClosedFormCheck(name=name, value=value, reference=reference, passed=passed)
 
 
 def _minor_statuses(minors: np.ndarray, smax: float) -> tuple[MinorStatus, ...]:
@@ -396,14 +399,16 @@ def classify(model: OscillatorModel) -> BoundStateReport:
     definiteness out on its own.  For n <= 5 models with diagonal kinetic
     matrices the report also carries the closed-form cross-checks.
     """
-    t = build_T(model)
-    v = build_V(model)
-    s = compute_S(t, v)
+    return bound_state(analyse(model))
+
+
+def bound_state(an: Analysis) -> BoundStateReport:
+    """``classify`` read from an existing analysis: its S and eigenpairs."""
+    model, s, eig = an.model, an.s, an.eig
     minors = leading_principal_minors(s)
     per_minor = _minor_statuses(minors, max_abs(s.mat))
     verdict = _verdict(per_minor)
 
-    eig = jacobi_eigh(s)
     if verdict == BOUND and float(eig.values[0]) <= 0.0:
         raise ConsistencyError(
             "minors say positive definite but the smallest eigenvalue is "
@@ -439,60 +444,32 @@ def _closed_form_checks(model, s, minors, eig, verdict):
     for k in range(2, min(n, 5) + 1):
         value = _condition_value(model, k)
         reference = _minor_scale(masses, k) * float(minors[k - 1])
-        checks.append(ClosedFormCheck(
-            name=names[k],
-            value=value,
-            reference=reference,
-            passed=_agree(value, reference),
-        ))
+        checks.append(_agreement(names[k], value, reference))
 
     if n == 2:
         cond1, _ = n2_conditions(model)
         trace_ref = masses[0] * masses[1] * float(np.trace(s.mat))
-        checks.append(ClosedFormCheck(
-            name="stiffness_sum_condition",
-            value=cond1,
-            reference=trace_ref,
-            passed=_agree(cond1, trace_ref),
-        ))
+        checks.append(_agreement("stiffness_sum_condition", cond1, trace_ref))
         lo, hi = n2_closed_eigenvalues(model)
-        for name, closed, numeric in (
-            ("closed_eigenvalue_low", lo, float(eig.values[0])),
-            ("closed_eigenvalue_high", hi, float(eig.values[1])),
-        ):
-            checks.append(ClosedFormCheck(
-                name=name, value=closed, reference=numeric,
-                passed=_agree(closed, numeric, rtol=1e-10),
-            ))
+        checks.append(_agreement("closed_eigenvalue_low", lo, float(eig.values[0]), 1e-10))
+        checks.append(_agreement("closed_eigenvalue_high", hi, float(eig.values[1]), 1e-10))
 
     if n == 3:
-        a, b, c = n3_charpoly(model)
-        discriminant = n3_discriminant(a, b, c)
+        route = necessary_coefficient_conditions(model)
+        discriminant = route.discriminant
         lam = eig.values
         prod_disc = float(
             (lam[0] - lam[1]) ** 2 * (lam[0] - lam[2]) ** 2 * (lam[1] - lam[2]) ** 2
         )
-        checks.append(ClosedFormCheck(
-            name="charpoly_trace", value=a,
-            reference=float(np.sum(lam)), passed=_agree(a, float(np.sum(lam))),
-        ))
+        checks.append(_agreement("charpoly_trace", route.a, float(np.sum(lam))))
         pair_sum = float(lam[0] * lam[1] + lam[0] * lam[2] + lam[1] * lam[2])
-        checks.append(ClosedFormCheck(
-            name="charpoly_pair_sum", value=b,
-            reference=pair_sum, passed=_agree(b, pair_sum),
-        ))
-        det_ref = float(np.prod(lam))
-        checks.append(ClosedFormCheck(
-            name="charpoly_det", value=c,
-            reference=det_ref, passed=_agree(c, det_ref),
-        ))
+        checks.append(_agreement("charpoly_pair_sum", route.b, pair_sum))
+        checks.append(_agreement("charpoly_det", route.c, float(np.prod(lam))))
         checks.append(ClosedFormCheck(
             name="discriminant_nonnegative", value=discriminant,
-            reference=prod_disc,
-            passed=discriminant >= -1e-9 * (1.0 + abs(a) ** 6),
+            reference=prod_disc, passed=route.discriminant_nonneg,
         ))
         if np.all(model.stiffness_diag > 0.0) and verdict != MARGINAL:
-            route = necessary_coefficient_conditions(model)
             checks.append(ClosedFormCheck(
                 name="coefficient_route_agrees",
                 value=float(route.all_pass),

@@ -20,18 +20,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundstate import BOUND, MARGINAL, UNBOUND, BoundStateReport, classify
+from .boundstate import BOUND, MARGINAL, UNBOUND, BoundStateReport, bound_state, classify
 from .diagonalize import (
     MassNormalizedDecomposition,
     ModeDecomposition,
+    analyse,
     compute_A,
-    compute_S,
-    decompose,
-    decompose_mass_normalized,
+    mass_normalize,
+    modes,
 )
 from .errors import ChoError, ParseError, ValidationError
 from .linalg import SymMatrix
-from .model import OscillatorModel, build_T, build_V
+from .model import OscillatorModel
 from .spectrum import EnergyLevel, ground_state_energy, lowest_levels
 
 __all__ = [
@@ -130,8 +130,6 @@ def parse_model_dict(doc) -> OscillatorModel:
                 )
                 continue
             pair = (min(i, j) - 1, max(i, j) - 1)
-            if i == j:
-                pair = (i - 1, j - 1)
             if pair in couplings:
                 violations.append(f"duplicate coupling ({i}, {j})")
                 continue
@@ -242,16 +240,15 @@ def run_analysis(req: AnalysisRequest) -> AnalysisReport:
     on unbound systems."""
     model = req.model
     tol = req.tolerance_override if req.tolerance_override is not None else 1e-12
-    t = build_T(model)
-    v = build_V(model)
-    dec = decompose(model, tol=tol)
-    bound = classify(model)
+    an = analyse(model, tol)
+    dec = modes(an)  # a failed residual check is reported before the verdict's
+    bound = bound_state(an)
 
     warnings: list[str] = []
     mass_normalized = None
     if req.mass_norm != "none":
         m_ref = None if req.mass_norm == "geometric" else float(req.mass_norm)
-        mass_normalized = decompose_mass_normalized(model, m_ref=m_ref, tol=tol)
+        mass_normalized = mass_normalize(an, dec, m_ref)
 
     ground = None
     levels = None
@@ -270,10 +267,10 @@ def run_analysis(req: AnalysisRequest) -> AnalysisReport:
         )
     return AnalysisReport(
         model=model,
-        t=t.mat,
-        v=v.mat,
-        a=compute_A(t.mat, v.mat),
-        s=compute_S(t, v.mat).mat,
+        t=an.t.mat,
+        v=an.v.mat,
+        a=compute_A(an.t.mat, an.v.mat),
+        s=an.s.mat,
         decomposition=dec,
         mass_normalized=mass_normalized,
         bound=bound,
@@ -536,10 +533,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    model = parse_model_file(args.model)
-    report = classify(model)
-    print(report.verdict)
-    return _EXIT_BY_VERDICT[report.verdict]
+    verdict = classify(parse_model_file(args.model)).verdict
+    print(verdict)
+    return _EXIT_BY_VERDICT[verdict]
 
 
 def _parse_sweep_param(text: str) -> tuple[int, int]:
@@ -568,10 +564,9 @@ def _cmd_sweep(args) -> int:
     values = np.linspace(args.start, args.stop, args.steps)
     rows = []
     for value in values:
-        step_model = model.with_coupling(pair[0], pair[1], float(value))
-        verdict = classify(step_model).verdict
-        lambdas = decompose(step_model).lambdas
-        rows.append((float(value), verdict, lambdas))
+        an = analyse(model.with_coupling(pair[0], pair[1], float(value)))
+        # a failed check of the verdict is reported before a residual check
+        rows.append((float(value), bound_state(an).verdict, modes(an).lambdas))
 
     if args.format == "json":
         doc = {
@@ -643,10 +638,7 @@ def main(argv=None) -> int:
     handlers = {"analyze": _cmd_analyze, "check": _cmd_check, "sweep": _cmd_sweep}
     try:
         return handlers[args.command](args)
-    except ChoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
+    except (ChoError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -5,6 +5,11 @@ turns H = (1/2) p^T T p + (1/2) x^T V x into n independent modes whose
 squared frequencies are the eigenvalues of S = T^(1/2) V T^(1/2).  S is
 symmetric and similar to A = T V, so both carry the same spectrum; only
 S is handed to the eigensolver.
+
+``analyse`` makes the one pass over a model: it builds T, V, T^(1/2), S
+and the eigendecomposition of S once.  The modes (``modes``), their
+mass-normalized variant (``mass_normalize``) and the bound-state verdict
+(``boundstate.bound_state``) are views that read that record.
 """
 
 from __future__ import annotations
@@ -14,17 +19,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ConsistencyError
-from .linalg import SymMatrix, jacobi_eigh, max_abs, spd_sqrt
+from .errors import ConsistencyError, ValidationError
+from .linalg import EigDecomposition, SymMatrix, frozen, jacobi_eigh, max_abs, spd_sqrt
 from .model import OscillatorModel, build_T, build_V
 
 __all__ = [
+    "Analysis",
     "ModeDecomposition",
     "MassNormalizedDecomposition",
+    "analyse",
     "compute_A",
     "compute_S",
     "decompose",
     "decompose_mass_normalized",
+    "mass_normalize",
+    "modes",
 ]
 
 # residual budgets, relative to the max entry of the matrix they test
@@ -40,6 +49,14 @@ def compute_A(t, v) -> np.ndarray:
     return t @ v
 
 
+def _sandwich(r: np.ndarray, v: np.ndarray) -> SymMatrix:
+    s = r @ v @ r
+    skew = max_abs(s - s.T)
+    if skew > 1e-12 * (1.0 + max_abs(s)):
+        raise ConsistencyError(f"T^(1/2) V T^(1/2) skew {skew:.3e} above tolerance")
+    return SymMatrix(s)
+
+
 def compute_S(t, v) -> SymMatrix:
     """Symmetrized T^(1/2) V T^(1/2).
 
@@ -47,14 +64,41 @@ def compute_S(t, v) -> SymMatrix:
     to the largest entry means the inputs were inconsistent and raises
     ConsistencyError instead of being averaged away.
     """
-    t = SymMatrix(np.asarray(t, dtype=float)) if not isinstance(t, SymMatrix) else t
-    v = np.asarray(v, dtype=float)
-    r = spd_sqrt(t).mat
-    s = r @ v @ r
-    skew = max_abs(s - s.T)
-    if skew > 1e-12 * (1.0 + max_abs(s)):
-        raise ConsistencyError(f"T^(1/2) V T^(1/2) skew {skew:.3e} above tolerance")
-    return SymMatrix(s)
+    return _sandwich(spd_sqrt(t).mat, np.asarray(v, dtype=float))
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """One pass over a model: T, V, root = T^(1/2), S and the eigenpairs of S."""
+
+    model: OscillatorModel
+    t: SymMatrix
+    v: SymMatrix
+    root: np.ndarray
+    s: SymMatrix
+    eig: EigDecomposition
+
+
+def analyse(model: OscillatorModel, tol: float = 1e-12) -> Analysis:
+    """Validate the model and compute each matrix of an Analysis once.
+
+    Raises ValidationError for an invalid model, and also when max|S|^n
+    overflows, since the dead zone of the n-th leading minor
+    (boundstate) cannot be represented then.
+    """
+    t = build_T(model)
+    v = build_V(model)
+    root = spd_sqrt(t).mat
+    s = _sandwich(root, v.mat)
+    smax = max_abs(s.mat)
+    try:
+        smax**model.n
+    except OverflowError:
+        raise ValidationError([
+            f"max|S| = {smax:.3e} is too large for the minor margin "
+            f"(max|S|^{model.n} overflows)"
+        ]) from None
+    return Analysis(model, t, v, root, s, jacobi_eigh(s, tol=tol))
 
 
 @dataclass(frozen=True)
@@ -92,14 +136,70 @@ class MassNormalizedDecomposition:
     lambdas: np.ndarray
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
+def modes(an: Analysis) -> ModeDecomposition:
+    """The normal modes of an analysis, after the eager residual checks.
+
+    Raises ConsistencyError if any transformation residual exceeds its
+    budget; results would be silently wrong physics otherwise.
+    """
+    n = an.model.n
+    eig = an.eig
+    c = an.root @ eig.vectors
+
+    residual_orth = max_abs(eig.vectors.T @ eig.vectors - np.eye(n))
+    c_inv = linalg.inverse(c)
+    residual_kinetic = max_abs(c_inv @ an.t.mat @ c_inv.T - np.eye(n))
+    cvc = c.T @ an.v.mat @ c
+    residual_potential = max_abs(cvc - np.diag(np.diagonal(cvc)))
+
+    checks = [
+        (residual_orth, _ORTH_TOL, "orthogonality"),
+        (residual_kinetic, _KINETIC_TOL * (1.0 + max_abs(an.t.mat)), "kinetic"),
+        (residual_potential, _POTENTIAL_TOL * (1.0 + max_abs(an.v.mat)), "potential"),
+    ]
+    for value, bound, name in checks:
+        if value > bound:
+            raise ConsistencyError(f"{name} residual {value:.3e} exceeds {bound:.3e}")
+    lam = eig.values
+    for i in range(n):
+        if abs(cvc[i, i] - lam[i]) > 1e-8 * (1.0 + abs(lam[i])):
+            raise ConsistencyError(
+                f"diag(C^T V C)[{i}] = {cvc[i, i]:.12e} disagrees with "
+                f"eigenvalue {lam[i]:.12e}"
+            )
+    return ModeDecomposition(
+        lambdas=frozen(lam),
+        u=frozen(eig.vectors),
+        c=frozen(c),
+        residual_orth=residual_orth,
+        residual_kinetic=residual_kinetic,
+        residual_potential=residual_potential,
+    )
 
 
-def decompose(model: OscillatorModel, tol: float = 1e-12,
-              max_sweeps: int = 50) -> ModeDecomposition:
+def mass_normalize(an: Analysis, dec: ModeDecomposition,
+                   m_ref: float | None = None) -> MassNormalizedDecomposition:
+    """The modes of an analysis scaled to a reference mass.
+
+    C = sqrt(m_ref) T^(1/2) U is dimensionless; the diagonal stiffness
+    k_i = m_ref * lambda_i depends on the (arbitrary) m_ref, while
+    lambdas = k / m_ref does not.  The default m_ref is the geometric
+    mean of the masses, so identical masses give C = U exactly up to
+    rounding.  The kinetic identity is the one ``modes`` checked,
+    scaled by m_ref, so it is not checked again.
+    """
+    if m_ref is None:
+        m_ref = float(np.exp(np.mean(np.log(an.model.masses))))
+    m_ref = float(m_ref)
+    if not np.isfinite(m_ref) or m_ref <= 0.0:
+        raise ValueError(f"m_ref must be > 0, got {m_ref}")
+    c = np.sqrt(m_ref) * dec.c
+    k = np.diagonal(c.T @ an.v.mat @ c)
+    return MassNormalizedDecomposition(m_ref=m_ref, k=frozen(k), c=frozen(c),
+                                       lambdas=frozen(k / m_ref))
+
+
+def decompose(model: OscillatorModel, tol: float = 1e-12) -> ModeDecomposition:
     """Full normal-mode decomposition with eager residual checks.
 
     Raises
@@ -107,78 +207,13 @@ def decompose(model: OscillatorModel, tol: float = 1e-12,
     NotPositiveDefinite
         If the kinetic matrix is not positive definite.
     ConsistencyError
-        If any transformation residual exceeds its budget; results would
-        be silently wrong physics otherwise.
+        If any transformation residual exceeds its budget.
     """
-    t = build_T(model)
-    v = build_V(model)
-    s = compute_S(t, v)
-    eig = jacobi_eigh(s, tol=tol, max_sweeps=max_sweeps)
-    root = spd_sqrt(t).mat
-    c = root @ eig.vectors
-
-    residual_orth = max_abs(eig.vectors.T @ eig.vectors - np.eye(model.n))
-    c_inv = linalg.inverse(c)
-    residual_kinetic = max_abs(c_inv @ t.mat @ c_inv.T - np.eye(model.n))
-    cvc = c.T @ v.mat @ c
-    residual_potential = max_abs(cvc - np.diag(np.diagonal(cvc)))
-
-    checks = [
-        (residual_orth, _ORTH_TOL, "orthogonality"),
-        (residual_kinetic, _KINETIC_TOL * (1.0 + max_abs(t.mat)), "kinetic"),
-        (residual_potential, _POTENTIAL_TOL * (1.0 + max_abs(v.mat)), "potential"),
-    ]
-    for value, bound, name in checks:
-        if value > bound:
-            raise ConsistencyError(
-                f"{name} residual {value:.3e} exceeds {bound:.3e}"
-            )
-    lam = eig.values
-    for i in range(model.n):
-        if abs(cvc[i, i] - lam[i]) > 1e-8 * (1.0 + abs(lam[i])):
-            raise ConsistencyError(
-                f"diag(C^T V C)[{i}] = {cvc[i, i]:.12e} disagrees with "
-                f"eigenvalue {lam[i]:.12e}"
-            )
-    return ModeDecomposition(
-        lambdas=_frozen(lam),
-        u=_frozen(eig.vectors),
-        c=_frozen(c),
-        residual_orth=residual_orth,
-        residual_kinetic=residual_kinetic,
-        residual_potential=residual_potential,
-    )
+    return modes(analyse(model, tol))
 
 
 def decompose_mass_normalized(model: OscillatorModel, m_ref: float | None = None,
                               tol: float = 1e-12) -> MassNormalizedDecomposition:
-    """Decomposition scaled to a reference mass.
-
-    C = sqrt(m_ref) T^(1/2) U is dimensionless; the diagonal stiffness
-    k_i = m_ref * lambda_i depends on the (arbitrary) m_ref, while
-    lambdas = k / m_ref does not.  The default m_ref is the geometric
-    mean of the masses, so identical masses give C = U exactly up to
-    rounding.
-    """
-    dec = decompose(model, tol=tol)
-    if m_ref is None:
-        m_ref = float(np.exp(np.mean(np.log(model.masses))))
-    m_ref = float(m_ref)
-    if not np.isfinite(m_ref) or m_ref <= 0.0:
-        raise ValueError(f"m_ref must be > 0, got {m_ref}")
-    c = np.sqrt(m_ref) * dec.c
-    v = build_V(model)
-    cvc = c.T @ v.mat @ c
-    k = np.diagonal(cvc).copy()
-
-    t = build_T(model)
-    c_inv = linalg.inverse(c)
-    kin = m_ref * (c_inv @ t.mat @ c_inv.T)
-    if max_abs(kin - np.eye(model.n)) > _KINETIC_TOL * (1.0 + max_abs(t.mat)):
-        raise ConsistencyError("mass-normalized kinetic residual above tolerance")
-    return MassNormalizedDecomposition(
-        m_ref=m_ref,
-        k=_frozen(k),
-        c=_frozen(c),
-        lambdas=_frozen(k / m_ref),
-    )
+    """``decompose`` scaled to a reference mass; see ``mass_normalize``."""
+    an = analyse(model, tol)
+    return mass_normalize(an, modes(an), m_ref)

@@ -35,7 +35,6 @@ __all__ = [
     "jacobi_eigh",
     "spd_sqrt",
     "leading_principal_minors",
-    "det",
     "inverse",
     "char_poly_coeffs",
     "max_abs",
@@ -294,9 +293,11 @@ def leading_principal_minors(s) -> np.ndarray:
     return np.array([_lu_det(a[:k, :k]) for k in range(1, n + 1)])
 
 
-def det(a) -> float:
-    """Determinant of a square matrix (LU with partial pivoting)."""
-    return _lu_det(_as_square(a))
+def frozen(a) -> np.ndarray:
+    """Read-only float copy of an array."""
+    a = np.array(a, dtype=float)
+    a.setflags(write=False)
+    return a
 
 
 def inverse(a) -> np.ndarray:

@@ -15,15 +15,9 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import MAX_DIM, SymMatrix
+from .linalg import MAX_DIM, SymMatrix, frozen
 
 __all__ = ["OscillatorModel", "build_T", "build_V", "validate"]
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)
@@ -52,9 +46,9 @@ class OscillatorModel:
     kinetic_override: SymMatrix | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "masses", _freeze(np.atleast_1d(self.masses)))
+        object.__setattr__(self, "masses", frozen(np.atleast_1d(self.masses)))
         object.__setattr__(
-            self, "stiffness_diag", _freeze(np.atleast_1d(self.stiffness_diag))
+            self, "stiffness_diag", frozen(np.atleast_1d(self.stiffness_diag))
         )
         pairs = {}
         for key, value in dict(self.couplings).items():

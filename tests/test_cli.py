@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from cho import (
     ValidationError,
     build_T,
     build_V,
+    decompose_mass_normalized,
     parse_model_file,
     run_analysis,
 )
@@ -333,6 +335,98 @@ def test_extreme_masses_exit_3_with_error_line(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+OVERFLOW_MODEL = {"masses": [1e300, 1e-300], "stiffness_diag": [1, 1]}
+SWEEP_ARGS = ["--param", "D:1,2", "--from", "0", "--to", "1", "--steps", "3"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command,extra", [
+    ("analyze", []), ("check", []), ("sweep", SWEEP_ARGS),
+], ids=["analyze", "check", "sweep"])
+def test_overflowing_model_exits_3_naming_the_overflow(tmp_path, capsys, command, extra):
+    # max|S| = 1e300, so max|S|^2 (the margin of the second minor) overflows
+    path = write_model(tmp_path, OVERFLOW_MODEL)
+    assert main([command, path, *extra]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "max|S|^2 overflows" in lines[0]
+
+
+@pytest.mark.parametrize("m_ref", ["1e-20", "1e300"])
+def test_explicit_reference_mass_of_any_size(m_ref, capsys):
+    code = main(["analyze", str(DATA / "identical_triple.json"), "--mass-norm", m_ref,
+                 "--format", "json"])
+    assert code == 0
+    modes = json.loads(capsys.readouterr().out)["modes"]
+    block = modes["mass_normalized"]
+    assert block["m_ref"] == float(m_ref)
+    lambdas = np.asarray(modes["lambdas"])
+    assert np.allclose(block["k"], float(m_ref) * lambdas, rtol=1e-12, atol=0.0)
+    assert np.allclose(block["lambdas"], lambdas, rtol=1e-12, atol=0.0)
+
+
+def test_mass_normalized_report_block_equals_library_call():
+    model = parse_model_file(str(DATA / "identical_triple.json"))
+    block = run_analysis(AnalysisRequest(model=model, mass_norm="geometric")).mass_normalized
+    direct = decompose_mass_normalized(model)
+    assert block.m_ref == direct.m_ref
+    for name in ("k", "c", "lambdas"):
+        assert np.array_equal(getattr(block, name), getattr(direct, name))
+
+
+# --- one analysis pass per model ----------------------------------------------------
+
+COUNTED = [("linalg", "jacobi_eigh"), ("linalg", "inverse"), ("model", "validate")]
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count calls of COUNTED wherever a cho module binds the function."""
+    counts = Counter()
+    modules = [m for key, m in list(sys.modules.items())
+               if key == "cho" or key.startswith("cho.")]
+    for home, name in COUNTED:
+        original = getattr(sys.modules[f"cho.{home}"], name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+TRIPLE = str(DATA / "identical_triple.json")
+
+
+@pytest.mark.parametrize("argv,jacobi,inverse,validate", [
+    (["analyze", TRIPLE], 1, 1, 3),
+    (["analyze", TRIPLE, "--mass-norm", "geometric"], 1, 1, 3),
+    (["check", TRIPLE], 1, 0, 3),
+    (["sweep", TRIPLE, "--param", "D:1,2", "--from", "0", "--to", "1", "--steps", "5"],
+     5, 5, 11),
+], ids=["analyze", "analyze-geometric", "check", "sweep"])
+def test_one_analysis_pass_per_model(calls, capsys, argv, jacobi, inverse, validate):
+    # validate: once when the file is parsed, then in build_T and build_V
+    assert main(argv) == 0
+    assert [calls[name] for _, name in COUNTED] == [jacobi, inverse, validate]
+
+
+def test_explicit_kinetic_matrix_adds_one_eigensolve(tmp_path, calls, capsys):
+    path = write_model(tmp_path, {
+        "masses": [1, 1, 1], "omegas": [1, 1, 1],
+        "kinetic": [[1.0, 0.2, 0.0], [0.2, 1.0, 0.1], [0.0, 0.1, 1.0]],
+    })
+    assert main(["analyze", path, "--mass-norm", "geometric"]) == 0
+    # one eigensolve for T^(1/2), one for S
+    assert calls["jacobi_eigh"] == 2
 
 
 # --- golden reports ---------------------------------------------------------------
