@@ -220,14 +220,26 @@ def n2_closed_eigenvalues(model: OscillatorModel) -> tuple[float, float]:
 
     lambda_{1,2} = (m1*C2 + m2*C1 -+ R) / (2 m1 m2) with
     R = sqrt((m2*C1 - m1*C2)**2 + m1*m2*C3**2); returned ascending.
+    Where a square or product of that form leaves the float range, the
+    same roots come from the per-mass form
+    (w1 + w2 -+ hypot(w1 - w2, C3 / sqrt(m1 m2))) / 2 with w_i = C_i / m_i.
     """
     _require_n(model, 2)
-    m1, m2 = model.masses
-    c1, c2 = model.stiffness_diag
-    c3 = model.couplings.get((0, 1), 0.0)
-    r = math.sqrt((m2 * c1 - m1 * c2) ** 2 + m1 * m2 * c3 * c3)
-    base = m1 * c2 + m2 * c1
-    return (base - r) / (2.0 * m1 * m2), (base + r) / (2.0 * m1 * m2)
+    m1, m2 = (float(m) for m in model.masses)
+    c1, c2 = (float(c) for c in model.stiffness_diag)
+    c3 = float(model.couplings.get((0, 1), 0.0))
+    try:
+        r = math.sqrt((m2 * c1 - m1 * c2) ** 2 + m1 * m2 * c3 * c3)
+        base = m1 * c2 + m2 * c1
+        lo, hi = (base - r) / (2.0 * m1 * m2), (base + r) / (2.0 * m1 * m2)
+    except (OverflowError, ZeroDivisionError):
+        lo = hi = math.inf
+    if math.isfinite(lo) and math.isfinite(hi):
+        return lo, hi
+    w1, w2 = c1 / m1, c2 / m2
+    half = 0.5 * math.hypot(w1 - w2, c3 / (math.sqrt(m1) * math.sqrt(m2)))
+    mid = 0.5 * (w1 + w2)
+    return mid - half, mid + half
 
 
 def n3_charpoly(model: OscillatorModel) -> tuple[float, float, float]:

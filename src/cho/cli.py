@@ -17,6 +17,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -286,14 +287,48 @@ def run_analysis(req: AnalysisRequest) -> AnalysisReport:
 
 
 def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise ValueError("cannot serialize non-finite float")
     return format(x, ".17g")
 
 
 def dumps_json(obj, indent: int = 0) -> str:
     """JSON text with floats at 17 significant digits."""
+    # Plain floats and ints are most of a report's leaves (levels, matrix
+    # entries), so they skip the isinstance ladder here and in the list
+    # loop; bool is a subclass of int and numpy scalars are not these exact
+    # types, so both take the ladder.
+    kind = type(obj)
+    if kind is float:
+        return _fmt_float(obj)
+    if kind is int:
+        return str(obj)
     pad = " " * indent
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        lead = pad + "  "
+        items = []
+        for x in obj:
+            kind = type(x)
+            if kind is float:
+                items.append(lead + _fmt_float(x))
+            elif kind is int:
+                items.append(lead + str(x))
+            else:
+                items.append(lead + dumps_json(x, indent + 2))
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = ",\n".join(
+            pad + "  " + encode_basestring_ascii(str(key)) + ": "
+            + dumps_json(value, indent + 2)
+            for key, value in obj.items()
+        )
+        return "{\n" + inner + "\n" + pad + "}"
     if obj is None:
         return "null"
     if isinstance(obj, (bool, np.bool_)):
@@ -303,22 +338,7 @@ def dumps_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, np.ndarray):
-        obj = obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        inner = ",\n".join(pad + "  " + dumps_json(x, indent + 2) for x in obj)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            pad + "  " + json.dumps(str(key)) + ": " + dumps_json(value, indent + 2)
-            for key, value in obj.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
+        return encode_basestring_ascii(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

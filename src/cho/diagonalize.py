@@ -50,7 +50,12 @@ def compute_A(t, v) -> np.ndarray:
 
 
 def _sandwich(r: np.ndarray, v: np.ndarray) -> SymMatrix:
-    s = r @ v @ r
+    with np.errstate(all="ignore"):
+        s = r @ v @ r
+    if not np.isfinite(s).all():
+        raise ValidationError([
+            "S = T^(1/2) V T^(1/2) overflows: an entry is beyond the float range"
+        ])
     skew = max_abs(s - s.T)
     if skew > 1e-12 * (1.0 + max_abs(s)):
         raise ConsistencyError(f"T^(1/2) V T^(1/2) skew {skew:.3e} above tolerance")
@@ -62,7 +67,8 @@ def compute_S(t, v) -> SymMatrix:
 
     The product is symmetric up to rounding; skew beyond 1e-12 relative
     to the largest entry means the inputs were inconsistent and raises
-    ConsistencyError instead of being averaged away.
+    ConsistencyError instead of being averaged away.  A product that
+    overflows the float range raises ValidationError.
     """
     return _sandwich(spd_sqrt(t).mat, np.asarray(v, dtype=float))
 

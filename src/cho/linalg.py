@@ -190,7 +190,13 @@ def jacobi_eigh(s, tol: float = 1e-12, max_sweeps: int = 50) -> EigDecomposition
         return np.sqrt(np.sum(np.where(lower, m, 0.0) ** 2) * 2.0)
 
     def threshold(m):
-        return tol * (1.0 + np.sqrt(np.sum(np.diagonal(m) ** 2)))
+        d = np.diagonal(m)
+        with np.errstate(over="ignore"):
+            norm = np.sqrt(np.sum(d ** 2))
+        if norm == np.inf:  # a square overflowed; scale by the largest entry
+            big = np.max(np.abs(d))
+            norm = big * np.sqrt(np.sum((d / big) ** 2))
+        return tol * (1.0 + norm)
 
     sweeps = 0
     while offdiag(m) > threshold(m):

@@ -1,6 +1,9 @@
 """Bound-state classification: Sylvester minors, closed-form polynomial
 conditions for n = 2..5, and the cubic-coefficient route."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from cho import (
     OscillatorModel,
     classify,
     decompose,
+    n2_closed_eigenvalues,
     n2_conditions,
     n3_charpoly,
     n3_conditions,
@@ -99,6 +103,49 @@ def test_n2_conditions_known_case():
     assert n2_conditions(m) == pytest.approx((2.0, 3.0))
     m = OscillatorModel.two_coupled(1.0, 2.0, 3.0, 2.0, 1.0)
     assert n2_conditions(m) == pytest.approx((8.0, 23.0))
+
+
+def _reference_n2_closed_eigenvalues(model):
+    """The closed form as first written, on the model's numpy scalars."""
+    m1, m2 = model.masses
+    c1, c2 = model.stiffness_diag
+    c3 = model.couplings.get((0, 1), 0.0)
+    r = math.sqrt((m2 * c1 - m1 * c2) ** 2 + m1 * m2 * c3 * c3)
+    base = m1 * c2 + m2 * c1
+    return (base - r) / (2.0 * m1 * m2), (base + r) / (2.0 * m1 * m2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_n2_closed_eigenvalues_bit_identical_where_finite_else_scaled():
+    rng = np.random.default_rng(43)
+    scaled = 0
+    for _ in range(400):
+        mass_unit = 10.0 ** rng.uniform(-200, 200)
+        stiffness_unit = mass_unit * 10.0 ** rng.uniform(-5, 5)
+        m = OscillatorModel.two_coupled(
+            rng.uniform(0.1, 10) * mass_unit,
+            rng.uniform(0.1, 10) * mass_unit,
+            rng.uniform(0.1, 5) * stiffness_unit,
+            rng.uniform(0.1, 5) * stiffness_unit,
+            rng.uniform(-5, 5) * stiffness_unit,
+        )
+        lo, hi = n2_closed_eigenvalues(m)
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            try:
+                ref = _reference_n2_closed_eigenvalues(m)
+            except ZeroDivisionError:
+                ref = (math.nan, math.nan)
+        if all(math.isfinite(x) for x in ref):
+            assert (lo, hi) == ref
+        else:
+            scaled += 1
+            m1, m2 = m.masses
+            off = m.couplings[(0, 1)] / (2.0 * math.sqrt(m1) * math.sqrt(m2))
+            s = np.array([[m.stiffness_diag[0] / m1, off], [off, m.stiffness_diag[1] / m2]])
+            want = np.linalg.eigvalsh(s)
+            assert (lo, hi) == pytest.approx(tuple(want), rel=1e-12, abs=1e-12 * max(abs(want)))
+    assert 50 < scaled < 350
 
 
 def test_n2_conditions_match_sylvester():

@@ -1,6 +1,7 @@
 """Model files, report serialization, subcommands and exit codes."""
 
 import json
+import math
 import re
 import subprocess
 import sys
@@ -150,6 +151,72 @@ def test_dumps_json_floats_survive_round_trip():
     values = [1 / 3, np.pi, 1e-300, 6.02e23, -0.1, 2.0]
     parsed = json.loads(dumps_json({"x": values}))
     assert parsed["x"] == values  # 17 significant digits are lossless
+
+
+def reference_dumps_json(obj, indent: int = 0) -> str:
+    """The serializer as first written: one recursive call and one
+    isinstance ladder per value."""
+    pad = " " * indent
+    if obj is None:
+        return "null"
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        if math.isnan(x) or math.isinf(x):
+            raise ValueError("cannot serialize non-finite float")
+        return format(x, ".17g")
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = ",\n".join(pad + "  " + reference_dumps_json(x, indent + 2) for x in obj)
+        return "[\n" + inner + "\n" + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = ",\n".join(
+            pad + "  " + json.dumps(str(key)) + ": " + reference_dumps_json(value, indent + 2)
+            for key, value in obj.items()
+        )
+        return "{\n" + inner + "\n" + pad + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+DEMO_MODELS = Path(__file__).parent.parent / "demos" / "models"
+MODEL_FILES = sorted(DEMO_MODELS.glob("*.json")) + sorted(DATA.glob("*.json"))
+
+
+@pytest.mark.parametrize("path", MODEL_FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_dumps_json_matches_reference_on_reports(path):
+    model = parse_model_file(str(path))
+    report = run_analysis(AnalysisRequest(model=model, levels=200, mass_norm="geometric"))
+    doc = report_to_dict(report)
+    assert dumps_json(doc) == reference_dumps_json(doc)
+
+
+def test_dumps_json_matches_reference_on_mixed_values():
+    doc = {
+        "np": [np.float64(1 / 3), np.int64(-7), np.bool_(True), np.bool_(False),
+               np.float32(0.1), np.arange(3), np.eye(2)],
+        "plain": [True, False, None, "t\u00e9xt \"q\"\n", 0, -12, 2.5, 1e-300, -0.0],
+        "tuples": (1, (2.0, "x"), ()),
+        "empty": [[], {}, ()],
+        "nested": [[1, 2, [3, [4, 5]]], [[[]]], {"k": [6, {"j": [7.0]}]}],
+        7: {"bool-key": {True: None}},
+    }
+    assert dumps_json(doc) == reference_dumps_json(doc)
+    assert dumps_json(doc, indent=4) == reference_dumps_json(doc, indent=4)
+    for leaf in (np.float64(2.0), np.int64(3), np.bool_(True), True, 4, 4.5, None, "s"):
+        assert dumps_json(leaf) == reference_dumps_json(leaf)
+    for bad in (math.nan, math.inf, np.float64(-math.inf), [1.0, math.nan]):
+        with pytest.raises(ValueError):
+            dumps_json(bad)
 
 
 def test_report_model_block_round_trips_bit_exact():
@@ -354,6 +421,41 @@ def test_overflowing_model_exits_3_naming_the_overflow(tmp_path, capsys, command
     lines = captured.err.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("error: ") and "max|S|^2 overflows" in lines[0]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command,extra", [
+    ("analyze", []), ("check", []), ("sweep", SWEEP_ARGS),
+], ids=["analyze", "check", "sweep"])
+def test_S_overflowing_to_inf_exits_3_naming_the_overflow(tmp_path, capsys, command, extra):
+    # T^(1/2) = diag(1e150, 1), so S[0, 0] = 1e150 * 1e10 * 1e150 is past the float range
+    path = write_model(tmp_path, {"masses": [1e-300, 1], "stiffness_diag": [1e10, 1]})
+    assert main([command, path, *extra]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "S = T^(1/2) V T^(1/2) overflows" in lines[0]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("doc,command,lambdas", [
+    # n = 1 with S = 1e200: the eigensolver's stop test squares the diagonal
+    ({"masses": [1e-200], "stiffness_diag": [1]}, "analyze", [1e200]),
+    ({"masses": [1e-200], "stiffness_diag": [1]}, "check", None),
+    # m2*C1 - m1*C2 = -2e200, whose square the N=2 closed form takes
+    ({"masses": [1e100, 1e100], "stiffness_diag": [1e100, 3e100]}, "check", None),
+], ids=["n1-analyze", "n1-check", "n2-check"])
+def test_large_scales_finish_without_numpy_warnings(tmp_path, capsys, doc, command, lambdas):
+    path = write_model(tmp_path, doc)
+    args = ["--format", "json", "--levels", "3"] if command == "analyze" else []
+    assert main([command, path, *args]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if lambdas is None:
+        assert captured.out == "Bound\n"
+    else:
+        assert json.loads(captured.out)["modes"]["lambdas"] == lambdas
 
 
 @pytest.mark.parametrize("m_ref", ["1e-20", "1e300"])

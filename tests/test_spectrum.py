@@ -1,5 +1,6 @@
 """Quantum energy levels from the mode frequencies."""
 
+import heapq
 import itertools
 import math
 
@@ -13,6 +14,8 @@ from cho import (
     ground_state_energy,
     lowest_levels,
 )
+from cho.diagonalize import ModeDecomposition
+from cho.spectrum import MAX_LEVELS
 
 from conftest import random_bound_model
 
@@ -101,3 +104,65 @@ def test_level_count_validated():
         lowest_levels(dec, k=0)
     with pytest.raises(ValueError):
         lowest_levels(dec, k=10**9)
+
+
+# --- bit-identity of the lattice walk -------------------------------------------
+
+
+def reference_lowest_levels(lambdas, hbar, k):
+    """The walk as first written: an n-term fsum per level and an O(n) scan
+    of the trailing occupations per successor.  Returns (occupations,
+    energy) pairs."""
+    freqs = tuple(float(f) for f in np.sqrt(np.asarray(lambdas, dtype=float)))
+    n = len(freqs)
+
+    def energy(occ):
+        return hbar * math.fsum(f * (m + 0.5) for f, m in zip(freqs, occ))
+
+    ground = (0,) * n
+    heap = [(energy(ground), ground)]
+    out = []
+    while heap and len(out) < k:
+        e, occ = heapq.heappop(heap)
+        out.append((occ, e))
+        for i in range(n):
+            if all(occ[j] == 0 for j in range(i + 1, n)):
+                succ = occ[:i] + (occ[i] + 1,) + occ[i + 1:]
+                heapq.heappush(heap, (energy(succ), succ))
+    return out
+
+
+def modes_with(lambdas) -> ModeDecomposition:
+    n = len(lambdas)
+    eye = np.eye(n)
+    return ModeDecomposition(np.asarray(lambdas, dtype=float), eye, eye, 0.0, 0.0, 0.0)
+
+
+def frequency_sets(n: int):
+    """Squared frequencies of one size: spread, exact ties, near ties, wide spans."""
+    rng = np.random.default_rng(70 + n)
+    j = np.arange(1, n + 1, dtype=float)
+    return {
+        "geomspace-jitter": (np.geomspace(0.4, 2.5, n) * (1 + 0.01 * rng.random(n))) ** 2,
+        "all-equal": np.full(n, 1.7),
+        "integer-ratio": j**2,
+        "tenths": (0.1 * j) ** 2,
+        "span-1e-150..1e153": np.geomspace(1e-150, 1e153, n) ** 2,
+    }
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_walk_matches_reference_bit_for_bit(n):
+    k = 300 if n <= 8 else 150
+    for name, lambdas in frequency_sets(n).items():
+        dec = modes_with(lambdas)
+        for hbar in (1e-34, 0.5, 1.0, 2.0, 1e300):
+            got = [(lv.occupations, lv.energy) for lv in lowest_levels(dec, hbar, k)]
+            assert got == reference_lowest_levels(lambdas, hbar, k), (name, hbar)
+
+
+def test_walk_matches_reference_at_max_levels():
+    lambdas = np.geomspace(0.6, 1.8, 3) ** 2
+    got = lowest_levels(modes_with(lambdas), 1.0, MAX_LEVELS)
+    want = reference_lowest_levels(lambdas, 1.0, MAX_LEVELS)
+    assert [(lv.occupations, lv.energy) for lv in got] == want
