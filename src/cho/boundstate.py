@@ -179,8 +179,12 @@ def _require_n(model: OscillatorModel, n: int) -> None:
         )
 
 
-def _eval_terms(terms, stiffness, couplings) -> float:
-    """Evaluate a term list with compensated summation."""
+def _eval_terms(terms, stiffness: list[float], couplings) -> float:
+    """Evaluate a term list on Python floats with compensated summation.
+
+    A term beyond the float range makes the value inf, or nan when such
+    terms of both signs meet; nothing raises or warns.
+    """
     vals = []
     for coeff, pairs, sites in terms:
         x = float(coeff)
@@ -189,11 +193,28 @@ def _eval_terms(terms, stiffness, couplings) -> float:
         for i in sites:
             x *= stiffness[i - 1]
         vals.append(x)
-    return math.fsum(vals)
+    try:
+        return math.fsum(vals)
+    except (ValueError, OverflowError):  # inf - inf, or a sum past the range
+        return math.nan
 
 
 def _condition_value(model: OscillatorModel, k: int) -> float:
-    return _eval_terms(CONDITION_TERMS[k], model.stiffness_diag, model.couplings)
+    return _eval_terms(CONDITION_TERMS[k], model.stiffness_diag.tolist(), model.couplings)
+
+
+def _unit_mass_condition_value(model: OscillatorModel, k: int) -> float:
+    """The condition for size k divided by m_1...m_k.
+
+    Each index occurs twice in every term (k_i counting twice), so this
+    is the same term list on k_i / m_i and D_ij / sqrt(m_i m_j), which
+    stay in range whenever S does.
+    """
+    masses = model.masses.tolist()
+    roots = [math.sqrt(m) for m in masses]
+    stiffness = [c / m for c, m in zip(model.stiffness_diag.tolist(), masses)]
+    couplings = {(i, j): d / (roots[i] * roots[j]) for (i, j), d in model.couplings.items()}
+    return _eval_terms(CONDITION_TERMS[k], stiffness, couplings)
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +230,8 @@ def n2_conditions(model: OscillatorModel) -> tuple[float, float]:
     4*m1*m2 times its determinant.
     """
     _require_n(model, 2)
-    m1, m2 = model.masses
-    c1, c2 = model.stiffness_diag
+    m1, m2 = model.masses.tolist()
+    c1, c2 = model.stiffness_diag.tolist()
     c3 = model.couplings.get((0, 1), 0.0)
     return (m2 * c1 + m1 * c2, 4.0 * c1 * c2 - c3 * c3)
 
@@ -442,10 +463,13 @@ def bound_state(an: Analysis) -> BoundStateReport:
 
 
 def _minor_scale(masses: np.ndarray, k: int) -> float:
-    return 4.0 ** (k // 2) * float(np.prod(masses[:k]))
+    return 4.0 ** (k // 2) * math.prod(masses[:k].tolist())
 
 
 def _closed_form_checks(model, s, minors, eig, verdict):
+    # Each polynomial condition is compared with its scaled minor in the
+    # units of the model; where either side leaves the float range, both
+    # are divided by the product of the masses.
     checks = []
     discriminant = None
     n = model.n
@@ -454,13 +478,22 @@ def _closed_form_checks(model, s, minors, eig, verdict):
     names = {2: "pair_condition", 3: "triple_condition",
              4: "quartic_condition", 5: "quintic_condition"}
     for k in range(2, min(n, 5) + 1):
+        minor = float(minors[k - 1])
         value = _condition_value(model, k)
-        reference = _minor_scale(masses, k) * float(minors[k - 1])
+        reference = _minor_scale(masses, k) * minor
+        if not (math.isfinite(value) and math.isfinite(reference)):
+            value = _unit_mass_condition_value(model, k)
+            reference = 4.0 ** (k // 2) * minor
         checks.append(_agreement(names[k], value, reference))
 
     if n == 2:
         cond1, _ = n2_conditions(model)
-        trace_ref = masses[0] * masses[1] * float(np.trace(s.mat))
+        trace = float(np.trace(s.mat))
+        m1, m2 = masses.tolist()
+        trace_ref = m1 * m2 * trace
+        if not (math.isfinite(cond1) and math.isfinite(trace_ref)):
+            c1, c2 = model.stiffness_diag.tolist()
+            cond1, trace_ref = c1 / m1 + c2 / m2, trace
         checks.append(_agreement("stiffness_sum_condition", cond1, trace_ref))
         lo, hi = n2_closed_eigenvalues(model)
         checks.append(_agreement("closed_eigenvalue_low", lo, float(eig.values[0]), 1e-10))

@@ -7,11 +7,11 @@ Faddeev-LeVerrier recursion.  numpy.linalg is deliberately not used so
 that the test suite can hold these routines against it as an independent
 reference.
 
-The Jacobi rotations run on nested lists of Python floats rather than on
-the array: at n <= 16 indexing numpy scalars costs far more than the
-arithmetic.  Python floats and float64 scalars perform the same correctly
-rounded IEEE operations, so the results are the same to the bit as those
-of the same loop on the array.
+The Jacobi rotations and the LU eliminations run on nested lists of
+Python floats rather than on the array: at n <= 16 indexing numpy scalars
+costs far more than the arithmetic.  Python floats and float64 scalars
+perform the same correctly rounded IEEE operations, so the results are the
+same to the bit as those of the same loops on the array.
 """
 
 from __future__ import annotations
@@ -271,32 +271,82 @@ def spd_sqrt(s) -> SymMatrix:
     return root
 
 
-def _lu_det(a: np.ndarray) -> float:
-    """Determinant via in-place LU with partial pivoting."""
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    sign = 1.0
-    for col in range(n - 1):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[piv, col] == 0.0:
-            return 0.0
+def _lu_steps(a: list, start: int, stop: int, sign: float) -> tuple[float, int | None]:
+    """Elimination steps ``start..stop-1`` of an LU with partial pivoting.
+
+    ``a`` is a list of rows (lists of Python floats), reduced in place over
+    their full width.  The pivot of a step is the first row of largest
+    magnitude, a nan counting as largest, as ``np.argmax`` picks it.
+    Returns the determinant sign and the step whose column is all zero
+    (the factorization stops there), or None.
+    """
+    for col in range(start, stop):
+        piv = col
+        best = abs(a[col][col])
+        if best == best:
+            for i in range(col + 1, len(a)):
+                x = abs(a[i][col])
+                if not x <= best:
+                    piv, best = i, x
+                    if x != x:
+                        break
+        p = a[piv]
+        d = p[col]
+        if d == 0.0:
+            return sign, col
         if piv != col:
-            a[[col, piv]] = a[[piv, col]]
+            a[piv] = a[col]
+            a[col] = p
             sign = -sign
-        mult = a[col + 1 :, col] / a[col, col]
-        a[col + 1 :, col + 1 :] -= np.outer(mult, a[col, col + 1 :])
-    return sign * float(np.prod(np.diagonal(a)))
+        tail = p[col + 1:]
+        for r in a[col + 1:]:
+            m = r[col] / d
+            r[col + 1:] = [x - m * y for x, y in zip(r[col + 1:], tail)]
+    return sign, None
 
 
 def leading_principal_minors(s) -> np.ndarray:
     """Determinants of the top-left k-by-k blocks for k = 1..n.
 
-    Each minor gets its own fresh LU factorization; the k = 1 minor is the
-    (0, 0) entry exactly.
+    One LU factorization with partial pivoting grows block by block on
+    Python floats.  Block k+1 keeps block k's reduced rows and pivot
+    order, reduces only its new row through the earlier steps and adds
+    one step; if the new row would win the pivot of an earlier step, the
+    block is factorized again from its rows of ``s``.  Every minor is thus
+    the product of the pivots a separate LU of its own block would have,
+    computed by the same operations in the same order.  A block whose
+    factorization meets an all-zero column has minor 0.0; the k = 1 minor
+    is the (0, 0) entry exactly.
     """
-    a = _as_sym(s).mat
-    n = a.shape[0]
-    return np.array([_lu_det(a[:k, :k]) for k in range(1, n + 1)])
+    src = _as_sym(s).mat.tolist()
+    n = len(src)
+    a: list = []
+    sign = 1.0
+    zero = None  # step at which the current factorization stopped
+    minors = []
+    for k in range(n):
+        new = src[k][:]
+        steps = len(a) - 1 if zero is None else zero + 1
+        for col in range(steps):
+            p = a[col]
+            d = p[col]
+            if not abs(new[col]) <= abs(d) and d == d:
+                # the new row takes this step's pivot: factorize anew
+                a = [row[:] for row in src[:k + 1]]
+                sign, zero = _lu_steps(a, 0, k, 1.0)
+                break
+            if col == zero:
+                a.append(new)
+                break
+            m = new[col] / d
+            new[col + 1:] = [x - m * y for x, y in zip(new[col + 1:], p[col + 1:])]
+        else:
+            a.append(new)
+            if k:
+                sign, zero = _lu_steps(a, k - 1, k, sign)
+        minors.append(0.0 if zero is not None
+                      else sign * math.prod([a[i][i] for i in range(k + 1)]))
+    return np.array(minors)
 
 
 def frozen(a) -> np.ndarray:
@@ -309,11 +359,15 @@ def frozen(a) -> np.ndarray:
 def inverse(a) -> np.ndarray:
     """Matrix inverse by Gauss-Jordan elimination with partial pivoting.
 
-    Raises SingularMatrix when |det| <= 1e-14 * (1 + max|a|^n).
+    Raises SingularMatrix when |det| <= 1e-14 * (1 + max|a|^n).  Nothing
+    in the package calls it since the kinetic residual became C C^T - T;
+    the benchmark's tracer (perfbench/tracer.py) still wraps it by name.
     """
     a = _as_square(a)
     n = a.shape[0]
-    d = _lu_det(a)
+    rows = a.tolist()
+    sign, zero = _lu_steps(rows, 0, n - 1, 1.0)
+    d = 0.0 if zero is not None else sign * math.prod([rows[i][i] for i in range(n)])
     if abs(d) <= 1e-14 * (1.0 + max_abs(a) ** n):
         raise SingularMatrix(f"matrix is numerically singular (det {d:.3e})")
     aug = np.hstack([np.array(a), np.eye(n)])

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ValidationError
 from .linalg import MAX_DIM, SymMatrix, frozen
 
-__all__ = ["OscillatorModel", "build_T", "build_V", "validate"]
+__all__ = ["OscillatorModel", "build_T", "build_TV", "build_V", "validate"]
 
 
 @dataclass(frozen=True)
@@ -146,14 +146,28 @@ def _require_valid(model: OscillatorModel) -> None:
 def build_T(model: OscillatorModel) -> SymMatrix:
     """Kinetic matrix: diag(1 / m_i), or the override verbatim."""
     _require_valid(model)
-    if model.kinetic_override is not None:
-        return model.kinetic_override
-    return SymMatrix.diagonal(1.0 / model.masses)
+    return _kinetic(model)
 
 
 def build_V(model: OscillatorModel) -> SymMatrix:
     """Potential matrix: stiffness on the diagonal, D_ij / 2 off it."""
     _require_valid(model)
+    return _potential(model)
+
+
+def build_TV(model: OscillatorModel) -> tuple[SymMatrix, SymMatrix]:
+    """``(build_T(model), build_V(model))`` with the model validated once."""
+    _require_valid(model)
+    return _kinetic(model), _potential(model)
+
+
+def _kinetic(model: OscillatorModel) -> SymMatrix:
+    if model.kinetic_override is not None:
+        return model.kinetic_override
+    return SymMatrix.diagonal(1.0 / model.masses)
+
+
+def _potential(model: OscillatorModel) -> SymMatrix:
     v = np.diag(model.stiffness_diag.astype(float))
     for (i, j), d in model.couplings.items():
         v[i, j] = v[j, i] = 0.5 * d

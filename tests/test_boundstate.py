@@ -24,7 +24,7 @@ from cho import (
     necessary_coefficient_conditions,
     verify_condition_terms,
 )
-from cho.boundstate import CONDITION_TERMS, _minor_scale
+from cho.boundstate import CONDITION_TERMS, _condition_value, _minor_scale
 from cho.errors import WrongDimension
 from cho.linalg import SymMatrix, leading_principal_minors
 from cho.model import build_T, build_V
@@ -277,6 +277,73 @@ def test_condition_equals_scaled_minor(n):
         expect = _minor_scale(np.asarray(m.masses), n) * minor
         got = fn(m)
         assert got == pytest.approx(expect, rel=1e-8, abs=1e-8)
+
+
+def _reference_condition_value(model, k):
+    """The term list evaluated as first written, on the model's numpy scalars."""
+    vals = []
+    for coeff, pairs, sites in CONDITION_TERMS[k]:
+        x = float(coeff)
+        for i, j in pairs:
+            x *= model.couplings.get((i - 1, j - 1), 0.0)
+        for i in sites:
+            x *= model.stiffness_diag[i - 1]
+        vals.append(x)
+    return math.fsum(vals)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_condition_values_bit_identical_where_finite(n):
+    rng = np.random.default_rng(60 + n)
+    beyond = 0
+    for _ in range(300):
+        m = random_model(rng, n, coupling_scale=1.2)
+        f = 10.0 ** rng.uniform(-200, 200)  # a unit of mass and stiffness
+        m = OscillatorModel(
+            masses=f * np.asarray(m.masses),
+            stiffness_diag=f * np.asarray(m.stiffness_diag),
+            couplings={key: f * d for key, d in m.couplings.items()},
+        )
+        got = _condition_value(m, n)
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            try:
+                want = _reference_condition_value(m, n)
+            except (ValueError, OverflowError):  # -inf + inf, or a sum past the range
+                want = math.nan
+        if math.isfinite(want):
+            assert got == want
+        else:
+            beyond += 1
+            assert not math.isfinite(got)
+    assert 10 < beyond < 250
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_closed_form_checks_pass_beyond_the_float_range(n):
+    # S stays put while the polynomial conditions scale with f^n and leave
+    # the float range; the checks then compare per unit mass product.
+    # (n = 3 is left out: its cubic coefficient route still overflows.  The
+    # N=2 closed eigenvalues are not checked here: they underflow in small
+    # units.)
+    rng = np.random.default_rng(70 + n)
+    for _ in range(60):
+        m = random_model(rng, n, coupling_scale=0.5)
+        f = 10.0 ** rng.uniform(-200, 200)
+        m = OscillatorModel(
+            masses=f * np.asarray(m.masses),
+            stiffness_diag=f * np.asarray(m.stiffness_diag),
+            couplings={key: f * d for key, d in m.couplings.items()},
+        )
+        rep = classify(m)
+        if rep.verdict == MARGINAL:
+            continue
+        for check in rep.closed_form_checks:
+            if check.name.endswith("_condition"):
+                assert check.passed, (f, check)
+                assert math.isfinite(check.value) and math.isfinite(check.reference)
 
 
 def test_uncoupled_n4_condition_factorizes():

@@ -11,6 +11,7 @@ from cho import (
     decompose_mass_normalized,
     n2_closed_eigenvalues,
 )
+from cho.diagonalize import _KINETIC_TOL
 from cho.errors import ConsistencyError, ValidationError
 from cho.linalg import char_poly_coeffs, max_abs
 from cho.model import build_T, build_V
@@ -81,6 +82,24 @@ def test_decompose_residuals_and_diagonalization():
         assert dec.residual_orth < 1e-10
         assert dec.residual_kinetic < 1e-9 * (1 + max_abs(t))
         assert dec.residual_potential < 1e-9 * (1 + max_abs(v))
+
+
+def test_kinetic_residual_is_relative_and_independent_of_the_mass_unit():
+    # a change of mass unit scales T by 1/f and V by f and leaves S alone
+    rng = np.random.default_rng(34)
+    for _ in range(40):
+        m = random_model(rng, int(rng.integers(1, 17)))
+        for f in (1e-6, 1.0, 1e6):
+            scaled = OscillatorModel(
+                masses=f * np.asarray(m.masses),
+                stiffness_diag=f * np.asarray(m.stiffness_diag),
+                couplings={k: f * v for k, v in m.couplings.items()},
+            )
+            dec = decompose(scaled)
+            t = build_T(scaled).mat
+            assert dec.residual_kinetic < _KINETIC_TOL
+            direct = max_abs(dec.c @ dec.c.T - t) / max_abs(t)
+            assert dec.residual_kinetic == pytest.approx(direct, rel=0.0, abs=1e-15)
 
 
 def test_unit_masses_give_orthogonal_C():

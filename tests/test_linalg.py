@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cho import linalg
 from cho.errors import NonConvergence, NotPositiveDefinite, SingularMatrix
 from cho.linalg import (
     SymMatrix,
@@ -331,6 +332,103 @@ def test_minors_of_singular_leading_block():
     minors = leading_principal_minors(s)
     assert minors[0] == 0.0
     assert minors[1] == pytest.approx(-1.0)
+
+
+# --- minors: bit identity with one numpy LU per leading block ------------------
+#
+# leading_principal_minors grows one LU on Python floats block by block.  The
+# reference below is what the library did before: a fresh LU with partial
+# pivoting on numpy arrays for every leading block.  The two must agree to the
+# bit, signed zeros included.
+
+
+def _reference_lu_det(a):
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    sign = 1.0
+    for col in range(n - 1):
+        piv = col + int(np.argmax(np.abs(a[col:, col])))
+        if a[piv, col] == 0.0:
+            return 0.0
+        if piv != col:
+            a[[col, piv]] = a[[piv, col]]
+            sign = -sign
+        mult = a[col + 1 :, col] / a[col, col]
+        a[col + 1 :, col + 1 :] -= np.outer(mult, a[col, col + 1 :])
+    return sign * float(np.prod(np.diagonal(a)))
+
+
+def _reference_minors(m):
+    with np.errstate(all="ignore"):  # products of 1e150 entries overflow
+        return np.array([_reference_lu_det(m[:k, :k]) for k in range(1, m.shape[0] + 1)])
+
+
+def _minor_cases(kind, n, rng):
+    """Seeded symmetric matrices of one kind and size."""
+    a = _sym(rng.normal(size=(n, n)))
+    if kind == "plain":
+        return a
+    if kind == "bound_s":
+        # S of a bound model, drawn the way the benchmark draws its models
+        masses = rng.uniform(0.5, 2.0, n)
+        g = masses * rng.uniform(0.5, 2.0, n) ** 2
+        c = np.triu(rng.normal(0.0, rng.uniform(0.05, 0.35) / np.sqrt(n), (n, n)), 1)
+        w = np.sqrt(np.outer(g, g)) * (np.eye(n) + c + c.T)
+        return _sym(w / np.sqrt(np.outer(masses, masses)))
+    if kind == "exact_zeros":
+        # zero leading pivots and all-zero columns below them
+        a[rng.random((n, n)) < 0.4] = 0.0
+        a[0, 0] = 0.0
+        if n > 2:
+            a[2:, 1] = 0.0
+        return _sym(a)
+    if kind == "ones":
+        return np.ones((n, n))
+    if kind == "integers":
+        # many pivot candidates of equal magnitude
+        return _sym(rng.integers(-2, 3, size=(n, n)).astype(float))
+    if kind == "graded":
+        g = 10.0 ** np.linspace(-6, 6, n)
+        return _sym(a * np.outer(g, g))
+    if kind.startswith("scale"):
+        return a * 10.0 ** float(kind[5:])
+    raise ValueError(kind)
+
+
+_MINOR_KINDS = ["plain", "bound_s", "exact_zeros", "ones", "integers", "graded",
+                "scale-150", "scale150"]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", _MINOR_KINDS)
+def test_minors_bit_identical_to_one_numpy_lu_per_block(kind):
+    rng = np.random.default_rng(sum(map(ord, kind)) + 1)
+    for n in range(1, 17):
+        for _ in range(4):
+            m = _minor_cases(kind, n, rng)
+            want = _reference_minors(m)
+            got = leading_principal_minors(SymMatrix(m))
+            assert np.array_equal(got, want, equal_nan=True), (kind, n)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (kind, n)
+
+
+def test_minors_take_both_the_shared_and_the_restart_path(monkeypatch):
+    # one elimination step over the last two rows extends the previous block;
+    # a factorization from step 0 of a block of three or more is a restart
+    steps = []
+    original = linalg._lu_steps
+
+    def recorded(a, start, stop, sign):
+        steps.append((start, stop))
+        return original(a, start, stop, sign)
+
+    monkeypatch.setattr(linalg, "_lu_steps", recorded)
+    rng = np.random.default_rng(18)
+    for _ in range(10):
+        m = _minor_cases("plain", 16, rng)
+        assert np.array_equal(leading_principal_minors(SymMatrix(m)), _reference_minors(m))
+    assert sum(1 for start, stop in steps if start >= 1) > 20
+    assert sum(1 for start, stop in steps if start == 0 and stop >= 2) > 10
 
 
 # --- characteristic polynomial ------------------------------------------------
