@@ -54,7 +54,6 @@ from .errors import (
 from .linalg import (
     EigDecomposition,
     SymMatrix,
-    char_poly_coeffs,
     jacobi_eigh,
     leading_principal_minors,
     spd_sqrt,
@@ -89,7 +88,6 @@ __all__ = [
     "WrongDimension",
     "build_T",
     "build_V",
-    "char_poly_coeffs",
     "classify",
     "compute_A",
     "compute_S",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -203,18 +204,19 @@ def _condition_value(model: OscillatorModel, k: int) -> float:
     return _eval_terms(CONDITION_TERMS[k], model.stiffness_diag.tolist(), model.couplings)
 
 
-def _unit_mass_condition_value(model: OscillatorModel, k: int) -> float:
-    """The condition for size k divided by m_1...m_k.
+def _per_unit_mass(model: OscillatorModel) -> tuple[list[float], dict]:
+    """k_i / m_i and D_ij / sqrt(m_i m_j) on Python floats.
 
-    Each index occurs twice in every term (k_i counting twice), so this
-    is the same term list on k_i / m_i and D_ij / sqrt(m_i m_j), which
-    stay in range whenever S does.
+    These are the diagonal of S and twice its off-diagonal entries, so
+    they stay in range whenever S does.  Each index occurs twice in every
+    term of a condition (k_i counting twice), so its term list on them
+    gives the condition for size k divided by m_1...m_k.
     """
     masses = model.masses.tolist()
     roots = [math.sqrt(m) for m in masses]
     stiffness = [c / m for c, m in zip(model.stiffness_diag.tolist(), masses)]
     couplings = {(i, j): d / (roots[i] * roots[j]) for (i, j), d in model.couplings.items()}
-    return _eval_terms(CONDITION_TERMS[k], stiffness, couplings)
+    return stiffness, couplings
 
 
 # ---------------------------------------------------------------------------
@@ -241,51 +243,79 @@ def n2_closed_eigenvalues(model: OscillatorModel) -> tuple[float, float]:
 
     lambda_{1,2} = (m1*C2 + m2*C1 -+ R) / (2 m1 m2) with
     R = sqrt((m2*C1 - m1*C2)**2 + m1*m2*C3**2); returned ascending.
-    Where a square or product of that form leaves the float range, the
-    same roots come from the per-mass form
+    Where a square or product of that form leaves the float range, or a
+    nonzero one falls below its normal range and loses digits, the same
+    roots come from the per-mass form
     (w1 + w2 -+ hypot(w1 - w2, C3 / sqrt(m1 m2))) / 2 with w_i = C_i / m_i.
     """
     _require_n(model, 2)
-    m1, m2 = (float(m) for m in model.masses)
-    c1, c2 = (float(c) for c in model.stiffness_diag)
-    c3 = float(model.couplings.get((0, 1), 0.0))
+    m1, m2 = model.masses.tolist()
+    c1, c2 = model.stiffness_diag.tolist()
+    c3 = model.couplings.get((0, 1), 0.0)
     try:
-        r = math.sqrt((m2 * c1 - m1 * c2) ** 2 + m1 * m2 * c3 * c3)
+        diff = m2 * c1 - m1 * c2
+        square, cross = diff**2, m1 * m2 * c3 * c3
+        r = math.sqrt(square + cross)
         base = m1 * c2 + m2 * c1
         lo, hi = (base - r) / (2.0 * m1 * m2), (base + r) / (2.0 * m1 * m2)
+        tiny = sys.float_info.min
+        underflow = m1 * m2 < tiny or any(
+            abs(product) < tiny
+            for product, factor in ((m2 * c1, c1), (m1 * c2, c2), (square, diff), (cross, c3))
+            if factor
+        )
     except (OverflowError, ZeroDivisionError):
         lo = hi = math.inf
-    if math.isfinite(lo) and math.isfinite(hi):
+        underflow = True
+    if math.isfinite(lo) and math.isfinite(hi) and not underflow:
         return lo, hi
-    w1, w2 = c1 / m1, c2 / m2
-    half = 0.5 * math.hypot(w1 - w2, c3 / (math.sqrt(m1) * math.sqrt(m2)))
+    (w1, w2), unit = _per_unit_mass(model)
+    half = 0.5 * math.hypot(w1 - w2, unit.get((0, 1), 0.0))
     mid = 0.5 * (w1 + w2)
     return mid - half, mid + half
 
 
 def n3_charpoly(model: OscillatorModel) -> tuple[float, float, float]:
-    """(a, b, c) of lambda^3 - a lambda^2 + b lambda - c for three oscillators."""
+    """(a, b, c) of lambda^3 - a lambda^2 + b lambda - c for three oscillators.
+
+    Where D_ij^2 / (4 m_i m_j) or D12 D13 D23 / (4 m1 m2 m3) leave the
+    float range, the same form runs per unit mass: on unit masses, w_i
+    and D_ij / sqrt(m_i m_j) (``_per_unit_mass``).
+    """
     _require_n(model, 3)
-    m1, m2, m3 = model.masses
-    w1, w2, w3 = model.omega_squared()
-    d12 = model.couplings.get((0, 1), 0.0)
-    d13 = model.couplings.get((0, 2), 0.0)
-    d23 = model.couplings.get((1, 2), 0.0)
-    a = w1 + w2 + w3
-    b = (
-        w1 * w2 + w1 * w3 + w2 * w3
-        - d12 * d12 / (4.0 * m1 * m2)
-        - d13 * d13 / (4.0 * m1 * m3)
-        - d23 * d23 / (4.0 * m2 * m3)
-    )
-    c = (
-        w1 * w2 * w3
-        - d12 * d12 * w3 / (4.0 * m1 * m2)
-        - d13 * d13 * w2 / (4.0 * m1 * m3)
-        - d23 * d23 * w1 / (4.0 * m2 * m3)
-        + d12 * d13 * d23 / (4.0 * m1 * m2 * m3)
-    )
+    (w1, w2, w3), unit = _per_unit_mass(model)
+    for masses, couplings in ((model.masses.tolist(), model.couplings), ([1.0] * 3, unit)):
+        m1, m2, m3 = masses
+        d12, d13, d23 = (couplings.get(pair, 0.0) for pair in ((0, 1), (0, 2), (1, 2)))
+        try:
+            a = w1 + w2 + w3
+            b = (
+                w1 * w2 + w1 * w3 + w2 * w3
+                - d12 * d12 / (4.0 * m1 * m2)
+                - d13 * d13 / (4.0 * m1 * m3)
+                - d23 * d23 / (4.0 * m2 * m3)
+            )
+            c = (
+                w1 * w2 * w3
+                - d12 * d12 * w3 / (4.0 * m1 * m2)
+                - d13 * d13 * w2 / (4.0 * m1 * m3)
+                - d23 * d23 * w1 / (4.0 * m2 * m3)
+                + d12 * d13 * d23 / (4.0 * m1 * m2 * m3)
+            )
+        except ZeroDivisionError:  # a mass product underflowed to zero
+            continue
+        if math.isfinite(b) and math.isfinite(c):
+            break
     return a, b, c
+
+
+def _power(x: float, k: int) -> float:
+    """x**k on Python floats, or the infinity numpy gives where Python
+    raises OverflowError."""
+    try:
+        return x**k
+    except OverflowError:
+        return math.copysign(math.inf, x) if k % 2 else math.inf
 
 
 def n3_discriminant(a: float, b: float, c: float) -> float:
@@ -294,11 +324,12 @@ def n3_discriminant(a: float, b: float, c: float) -> float:
     Equals the product of squared root differences, so it is non-negative
     exactly when all three roots are real.
     """
+    a, b, c = float(a), float(b), float(c)
     return (
         a * a * b * b
-        - 4.0 * a**3 * c
+        - 4.0 * _power(a, 3) * c
         + 18.0 * a * b * c
-        - 4.0 * b**3
+        - 4.0 * _power(b, 3)
         - 27.0 * c * c
     )
 
@@ -360,7 +391,7 @@ def necessary_coefficient_conditions(model: OscillatorModel) -> CoefficientCondi
         discriminant=disc,
         b_positive=b > 0.0,
         c_positive=c > 0.0,
-        discriminant_nonneg=disc >= -1e-9 * (1.0 + abs(a) ** 6),
+        discriminant_nonneg=disc >= -1e-9 * (1.0 + _power(abs(a), 6)),
     )
 
 
@@ -482,7 +513,7 @@ def _closed_form_checks(model, s, minors, eig, verdict):
         value = _condition_value(model, k)
         reference = _minor_scale(masses, k) * minor
         if not (math.isfinite(value) and math.isfinite(reference)):
-            value = _unit_mass_condition_value(model, k)
+            value = _eval_terms(CONDITION_TERMS[k], *_per_unit_mass(model))
             reference = 4.0 ** (k // 2) * minor
         checks.append(_agreement(names[k], value, reference))
 
@@ -503,12 +534,10 @@ def _closed_form_checks(model, s, minors, eig, verdict):
         route = necessary_coefficient_conditions(model)
         discriminant = route.discriminant
         lam = eig.values
-        prod_disc = float(
-            (lam[0] - lam[1]) ** 2 * (lam[0] - lam[2]) ** 2 * (lam[1] - lam[2]) ** 2
-        )
+        l0, l1, l2 = lam.tolist()
+        prod_disc = _power(l0 - l1, 2) * _power(l0 - l2, 2) * _power(l1 - l2, 2)
         checks.append(_agreement("charpoly_trace", route.a, float(np.sum(lam))))
-        pair_sum = float(lam[0] * lam[1] + lam[0] * lam[2] + lam[1] * lam[2])
-        checks.append(_agreement("charpoly_pair_sum", route.b, pair_sum))
+        checks.append(_agreement("charpoly_pair_sum", route.b, l0 * l1 + l0 * l2 + l1 * l2))
         checks.append(_agreement("charpoly_det", route.c, float(np.prod(lam))))
         checks.append(ClosedFormCheck(
             name="discriminant_nonnegative", value=discriminant,

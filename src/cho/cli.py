@@ -150,25 +150,28 @@ def parse_model_dict(doc) -> OscillatorModel:
     if isinstance(hbar, bool) or not isinstance(hbar, (int, float)):
         raise ParseError('"hbar" must be a number')
 
-    model = OscillatorModel(
-        masses=masses,
-        stiffness_diag=stiffness,
-        couplings=couplings,
-        hbar=float(hbar),
-        kinetic_override=kinetic,
-    )
-    violations.extend(model.validate())
+    try:
+        model = OscillatorModel(
+            masses=masses,
+            stiffness_diag=stiffness,
+            couplings=couplings,
+            hbar=float(hbar),
+            kinetic_override=kinetic,
+        )
+    except ValidationError as exc:
+        violations.extend(exc.violations)
     if violations:
         raise ValidationError(violations)
     return model
 
 
 def parse_model_file(path: str) -> OscillatorModel:
-    """Read and validate one model JSON file.
+    """Read one model JSON file and build its (valid) model.
 
     Raises ParseError for unreadable files, JSON syntax problems (with
     line and column) and schema-shape mistakes; raises ValidationError
-    listing every constraint violation found.
+    listing every violation found, the file's own before those the
+    model's constructor finds.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -581,6 +584,9 @@ def _cmd_sweep(args) -> int:
         )
     if args.steps < 2:
         raise ParseError("--steps must be >= 2")
+    if not math.isfinite(args.stop - args.start):  # also an inf or nan end
+        raise ParseError(f"--from {args.start!r} --to {args.stop!r}: the range must be "
+                         "finite and no wider than the largest float")
     values = np.linspace(args.start, args.stop, args.steps)
     rows = []
     for value in values:

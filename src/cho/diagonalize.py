@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConsistencyError, ValidationError
 from .linalg import EigDecomposition, SymMatrix, frozen, jacobi_eigh, max_abs, spd_sqrt
-from .model import OscillatorModel, build_TV
+from .model import OscillatorModel, build_T, build_V
 
 __all__ = [
     "Analysis",
@@ -86,13 +86,13 @@ class Analysis:
 
 
 def analyse(model: OscillatorModel, tol: float = 1e-12) -> Analysis:
-    """Validate the model and compute each matrix of an Analysis once.
+    """Compute each matrix of an Analysis of a (valid) model once.
 
-    Raises ValidationError for an invalid model, and also when max|S|^n
-    overflows, since the dead zone of the n-th leading minor
-    (boundstate) cannot be represented then.
+    Raises ValidationError when S overflows or when max|S|^n does, since
+    the dead zone of the n-th leading minor (boundstate) cannot be
+    represented then.
     """
-    t, v = build_TV(model)
+    t, v = build_T(model), build_V(model)
     root = spd_sqrt(t).mat
     s = _sandwich(root, v.mat)
     smax = max_abs(s.mat)

@@ -1,10 +1,9 @@
 """Dense linear algebra for small real matrices.
 
 Everything here works on plain float64 arrays of modest size (n <= 16).
-The eigensolver is a cyclic Jacobi iteration, determinants go through LU
-with partial pivoting, and characteristic polynomials use the
-Faddeev-LeVerrier recursion.  numpy.linalg is deliberately not used so
-that the test suite can hold these routines against it as an independent
+The eigensolver is a cyclic Jacobi iteration and determinants go through
+LU with partial pivoting.  numpy.linalg is deliberately not used so that
+the test suite can hold these routines against it as an independent
 reference.
 
 The Jacobi rotations and the LU eliminations run on nested lists of
@@ -36,7 +35,6 @@ __all__ = [
     "spd_sqrt",
     "leading_principal_minors",
     "inverse",
-    "char_poly_coeffs",
     "max_abs",
 ]
 
@@ -380,22 +378,3 @@ def inverse(a) -> np.ndarray:
             if row != col and aug[row, col] != 0.0:
                 aug[row] -= aug[row, col] * aug[col]
     return aug[:, n:]
-
-
-def char_poly_coeffs(a) -> np.ndarray:
-    """Coefficients of det(lambda*I - A), descending powers, leading 1.
-
-    Faddeev-LeVerrier recursion: M_k = A (M_{k-1} + c_{k-1} I),
-    c_k = -tr(M_k) / k.
-    """
-    a = _as_square(a)
-    n = a.shape[0]
-    coeffs = np.empty(n + 1)
-    coeffs[0] = 1.0
-    m = np.zeros_like(a)
-    c = 1.0
-    for k in range(1, n + 1):
-        m = a @ m + c * a
-        c = -float(np.trace(m)) / k
-        coeffs[k] = c
-    return coeffs

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ValidationError
 from .linalg import MAX_DIM, SymMatrix, frozen
 
-__all__ = ["OscillatorModel", "build_T", "build_TV", "build_V", "validate"]
+__all__ = ["OscillatorModel", "build_T", "build_V", "validate"]
 
 
 @dataclass(frozen=True)
@@ -37,6 +37,10 @@ class OscillatorModel:
     kinetic_override : SymMatrix, optional
         Full kinetic matrix T; replaces diag(1/m_i) when given.  Positive
         definiteness is checked at decomposition time, not here.
+
+    Construction runs ``validate`` and raises ValidationError listing
+    every violation, so a model that exists is valid and nothing
+    downstream checks it again.
     """
 
     masses: np.ndarray
@@ -58,6 +62,9 @@ class OscillatorModel:
             pairs[(i, j)] = float(value)
         object.__setattr__(self, "couplings", MappingProxyType(pairs))
         object.__setattr__(self, "hbar", float(self.hbar))
+        bad = validate(self)
+        if bad:
+            raise ValidationError(bad)
 
     @property
     def n(self) -> int:
@@ -98,9 +105,6 @@ class OscillatorModel:
         """Squared on-site frequencies stiffness_diag / masses."""
         return self.stiffness_diag / self.masses
 
-    def validate(self) -> list[str]:
-        return validate(self)
-
 
 def validate(model: OscillatorModel) -> list[str]:
     """Collect constraint violations; an empty list means the model is usable."""
@@ -137,37 +141,15 @@ def validate(model: OscillatorModel) -> list[str]:
     return bad
 
 
-def _require_valid(model: OscillatorModel) -> None:
-    bad = validate(model)
-    if bad:
-        raise ValidationError(bad)
-
-
 def build_T(model: OscillatorModel) -> SymMatrix:
     """Kinetic matrix: diag(1 / m_i), or the override verbatim."""
-    _require_valid(model)
-    return _kinetic(model)
-
-
-def build_V(model: OscillatorModel) -> SymMatrix:
-    """Potential matrix: stiffness on the diagonal, D_ij / 2 off it."""
-    _require_valid(model)
-    return _potential(model)
-
-
-def build_TV(model: OscillatorModel) -> tuple[SymMatrix, SymMatrix]:
-    """``(build_T(model), build_V(model))`` with the model validated once."""
-    _require_valid(model)
-    return _kinetic(model), _potential(model)
-
-
-def _kinetic(model: OscillatorModel) -> SymMatrix:
     if model.kinetic_override is not None:
         return model.kinetic_override
     return SymMatrix.diagonal(1.0 / model.masses)
 
 
-def _potential(model: OscillatorModel) -> SymMatrix:
+def build_V(model: OscillatorModel) -> SymMatrix:
+    """Potential matrix: stiffness on the diagonal, D_ij / 2 off it."""
     v = np.diag(model.stiffness_diag.astype(float))
     for (i, j), d in model.couplings.items():
         v[i, j] = v[j, i] = 0.5 * d

@@ -115,10 +115,21 @@ def _reference_n2_closed_eigenvalues(model):
     return (base - r) / (2.0 * m1 * m2), (base + r) / (2.0 * m1 * m2)
 
 
+def _underflows(model):
+    """Whether a nonzero product of the closed form falls below the normal range."""
+    m1, m2 = model.masses.tolist()
+    c1, c2 = model.stiffness_diag.tolist()
+    c3 = model.couplings.get((0, 1), 0.0)
+    diff = m2 * c1 - m1 * c2
+    products = [(m1 * m2, 1.0), (m2 * c1, c1), (m1 * c2, c2), (diff * diff, diff),
+                (m1 * m2 * c3 * c3, c3)]
+    return any(abs(p) < np.finfo(float).tiny for p, factor in products if factor)
+
+
 @pytest.mark.filterwarnings("error")
 def test_n2_closed_eigenvalues_bit_identical_where_finite_else_scaled():
     rng = np.random.default_rng(43)
-    scaled = 0
+    scaled = underflowed = 0
     for _ in range(400):
         mass_unit = 10.0 ** rng.uniform(-200, 200)
         stiffness_unit = mass_unit * 10.0 ** rng.uniform(-5, 5)
@@ -136,16 +147,22 @@ def test_n2_closed_eigenvalues_bit_identical_where_finite_else_scaled():
                 ref = _reference_n2_closed_eigenvalues(m)
             except ZeroDivisionError:
                 ref = (math.nan, math.nan)
-        if all(math.isfinite(x) for x in ref):
+            underflow = _underflows(m)
+        m1, m2 = m.masses
+        off = m.couplings[(0, 1)] / (2.0 * math.sqrt(m1) * math.sqrt(m2))
+        s = np.array([[m.stiffness_diag[0] / m1, off], [off, m.stiffness_diag[1] / m2]])
+        want = np.linalg.eigvalsh(s)
+        if all(math.isfinite(x) for x in ref) and not underflow:
             assert (lo, hi) == ref
+            assert (lo, hi) == pytest.approx(tuple(want), rel=1e-10, abs=1e-10 * max(abs(want)))
         else:
+            # The per-mass form, taken where the plain one overflows or
+            # underflows, works on S itself.
             scaled += 1
-            m1, m2 = m.masses
-            off = m.couplings[(0, 1)] / (2.0 * math.sqrt(m1) * math.sqrt(m2))
-            s = np.array([[m.stiffness_diag[0] / m1, off], [off, m.stiffness_diag[1] / m2]])
-            want = np.linalg.eigvalsh(s)
+            underflowed += all(math.isfinite(x) for x in ref)
             assert (lo, hi) == pytest.approx(tuple(want), rel=1e-12, abs=1e-12 * max(abs(want)))
     assert 50 < scaled < 350
+    assert underflowed > 10
 
 
 def test_n2_conditions_match_sylvester():
@@ -321,13 +338,11 @@ def test_condition_values_bit_identical_where_finite(n):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("n", [2, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_closed_form_checks_pass_beyond_the_float_range(n):
-    # S stays put while the polynomial conditions scale with f^n and leave
-    # the float range; the checks then compare per unit mass product.
-    # (n = 3 is left out: its cubic coefficient route still overflows.  The
-    # N=2 closed eigenvalues are not checked here: they underflow in small
-    # units.)
+    # S stays put while the polynomial conditions, the N=2 closed form and
+    # the N=3 cubic coefficients scale with powers of f and leave the float
+    # range; the checks then compare per unit mass.
     rng = np.random.default_rng(70 + n)
     for _ in range(60):
         m = random_model(rng, n, coupling_scale=0.5)
@@ -340,10 +355,10 @@ def test_closed_form_checks_pass_beyond_the_float_range(n):
         rep = classify(m)
         if rep.verdict == MARGINAL:
             continue
+        assert rep.closed_form_checks
         for check in rep.closed_form_checks:
-            if check.name.endswith("_condition"):
-                assert check.passed, (f, check)
-                assert math.isfinite(check.value) and math.isfinite(check.reference)
+            assert check.passed, (f, check)
+            assert math.isfinite(check.value) and math.isfinite(check.reference)
 
 
 def test_uncoupled_n4_condition_factorizes():

@@ -144,6 +144,17 @@ def test_parse_omegas_length_mismatch():
         parse_model_dict({"masses": [1, 1], "omegas": [1.0]})
 
 
+def test_parse_lists_file_violations_before_model_violations(tmp_path, capsys):
+    path = write_model(tmp_path, {"masses": [0, 1, 1], "omegas": [1, 1],
+                                  "couplings": [[1, 1, 2.0], [0, 2, 1.0]], "hbar": -1})
+    assert main(["check", path]) == 3
+    assert capsys.readouterr().err == (
+        'error: invalid model: "omegas" must match "masses" in length; '
+        "couplings[1]: indices are 1-based, got (0, 2); masses[0] must be > 0; "
+        "coupling (0, 0): self-coupling forbidden; hbar must be > 0\n"
+    )
+
+
 # --- serialization ---------------------------------------------------------------
 
 
@@ -391,6 +402,22 @@ def test_sweep_accepts_negative_bounds_in_exponent_form(capsys):
         assert (doc["from"], doc["to"]) == (float(start), float(stop))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bounds,named", [
+    (["--from", "0", "--to", "inf"], "--from 0.0 --to inf"),
+    (["--from=-inf", "--to", "0"], "--from -inf --to 0.0"),
+    (["--from", "nan", "--to", "1"], "--from nan --to 1.0"),
+    (["--from", "1e308", "--to", "-1e308"], "--from 1e+308 --to -1e+308"),
+], ids=["to-inf", "from-minus-inf", "from-nan", "overflowing-width"])
+def test_sweep_rejects_unusable_ranges(capsys, bounds, named):
+    argv = ["sweep", str(DATA / "two_coupled.json"), "--param", "D:1,2", "--steps", "3"]
+    assert main(argv + bounds) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {named}: the range must be finite and no wider "
+                            "than the largest float\n")
+
+
 def test_extreme_masses_exit_3_with_error_line(tmp_path, capsys):
     # S spans 1e-300..1e300: the eigensolver squares entries past the float
     # range and must still hand over to the usual checks, not raise
@@ -502,6 +529,32 @@ def test_polynomial_conditions_beyond_the_float_range(tmp_path, capsys, command,
         assert pair["value"] == pytest.approx(11.0, rel=1e-12)  # 4 * minor_2 = 4 * 2.75
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("doc,names", [
+    # S = [[1, .5, 0], [.5, 3, .5], [0, .5, 2]]: D_ij^2 and m_i m_j overflow in
+    # the cubic coefficients
+    ({"masses": [1e200, 1e200, 1e200], "stiffness_diag": [1e200, 3e200, 2e200],
+      "couplings": [[1, 2, 1e200], [2, 3, 1e200]]},
+     ["charpoly_pair_sum", "charpoly_det", "discriminant_nonnegative"]),
+    # S = [[1, .35], [.35, 1.5]]: (m2 C1 - m1 C2)^2 = 1e-524 underflows to 0
+    ({"masses": [1e-131, 2e-131], "stiffness_diag": [1e-131, 3e-131],
+      "couplings": [[1, 2, 1e-131]]},
+     ["closed_eigenvalue_low", "closed_eigenvalue_high"]),
+], ids=["n3-heavy", "n2-light"])
+def test_closed_forms_in_extreme_units(tmp_path, capsys, doc, names):
+    path = write_model(tmp_path, doc)
+    assert main(["analyze", path]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "MISMATCH" not in captured.out and not re.search(r"\bnan\b", captured.out)
+    assert main(["analyze", path, "--format", "json"]) == 0
+    bound = json.loads(capsys.readouterr().out)["bound_state"]
+    checks = {c["name"]: c for c in bound["closed_form_checks"]}
+    assert all(c["passed"] for c in checks.values())
+    for name in names:
+        assert checks[name]["value"] == pytest.approx(checks[name]["reference"], rel=1e-10)
+
+
 @pytest.mark.parametrize("m_ref", ["1e-20", "1e300"])
 def test_explicit_reference_mass_of_any_size(m_ref, capsys):
     code = main(["analyze", str(DATA / "identical_triple.json"), "--mass-norm", m_ref,
@@ -553,14 +606,14 @@ TRIPLE = str(DATA / "identical_triple.json")
 
 
 @pytest.mark.parametrize("argv,jacobi,validate", [
-    (["analyze", TRIPLE], 1, 2),
-    (["analyze", TRIPLE, "--mass-norm", "geometric"], 1, 2),
-    (["check", TRIPLE], 1, 2),
+    (["analyze", TRIPLE], 1, 1),
+    (["analyze", TRIPLE, "--mass-norm", "geometric"], 1, 1),
+    (["check", TRIPLE], 1, 1),
     (["sweep", TRIPLE, "--param", "D:1,2", "--from", "0", "--to", "1", "--steps", "5"],
      5, 6),
 ], ids=["analyze", "analyze-geometric", "check", "sweep"])
 def test_one_analysis_pass_per_model(calls, capsys, argv, jacobi, validate):
-    # validate: once when the file is parsed, then once per analysis pass
+    # validate: once per model built, the file's and each sweep step's
     assert main(argv) == 0
     assert [calls[name] for _, name in COUNTED] == [jacobi, validate]
 

@@ -1,11 +1,15 @@
-"""Design rule: numpy.linalg is the test oracle and stays out of the package."""
+"""Design rules: numpy.linalg is the test oracle and stays out of the package,
+and every function the benchmark's tracer wraps exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cho"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "cho"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def numpy_linalg_references(source: str) -> list[int]:
@@ -60,3 +64,21 @@ def test_every_form_of_reference_is_found(source):
 ])
 def test_package_linalg_and_prose_are_not_references(source):
     assert numpy_linalg_references(source) == []
+
+
+def traced_names(source: str) -> list[tuple[str, str]]:
+    """The (module, function) pairs of the TRACED list in the tracer's source."""
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise AssertionError("no TRACED assignment")
+
+
+def test_every_traced_function_exists():
+    # a deletion that leaves a traced name behind breaks the benchmark's --trace 1
+    pairs = traced_names(TRACER.read_text(encoding="utf-8"))
+    assert pairs
+    missing = [f"{module}.{name}" for module, name in pairs
+               if not callable(getattr(importlib.import_module(f"cho.{module}"), name, None))]
+    assert missing == []

@@ -11,7 +11,6 @@ from cho import linalg
 from cho.errors import NonConvergence, NotPositiveDefinite, SingularMatrix
 from cho.linalg import (
     SymMatrix,
-    char_poly_coeffs,
     inverse,
     jacobi_eigh,
     leading_principal_minors,
@@ -429,31 +428,6 @@ def test_minors_take_both_the_shared_and_the_restart_path(monkeypatch):
         assert np.array_equal(leading_principal_minors(SymMatrix(m)), _reference_minors(m))
     assert sum(1 for start, stop in steps if start >= 1) > 20
     assert sum(1 for start, stop in steps if start == 0 and stop >= 2) > 10
-
-
-# --- characteristic polynomial ------------------------------------------------
-
-
-def test_char_poly_known_case():
-    coeffs = char_poly_coeffs(np.diag([1.0, 2.0, 3.0]))
-    assert np.allclose(coeffs, [1.0, -6.0, 11.0, -6.0], atol=1e-12)
-
-
-def test_char_poly_roots_are_eigenvalues():
-    rng = np.random.default_rng(15)
-    for _ in range(30):
-        s = random_sym(rng, 4)
-        coeffs = char_poly_coeffs(s.mat)
-        roots = np.sort(np.roots(coeffs))
-        assert np.allclose(roots, np.linalg.eigvalsh(s.mat), atol=1e-8)
-
-
-def test_char_poly_trace_and_det_terms():
-    rng = np.random.default_rng(16)
-    a = rng.normal(size=(5, 5))
-    coeffs = char_poly_coeffs(a)
-    assert coeffs[1] == pytest.approx(-np.trace(a), rel=1e-12)
-    assert coeffs[-1] == pytest.approx((-1) ** 5 * np.linalg.det(a), rel=1e-10)
 
 
 # --- properties ---------------------------------------------------------------

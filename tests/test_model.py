@@ -1,12 +1,14 @@
 """Model construction, validation and the T/V matrices."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from cho import OscillatorModel, ValidationError, build_T, build_V
 from cho.linalg import SymMatrix
+from cho.model import validate
 
 from conftest import random_model
 
@@ -59,38 +61,39 @@ def test_model_is_frozen():
 
 
 def test_validate_reports_each_violation():
-    m = OscillatorModel(
-        masses=[0.0, 1.0],
-        stiffness_diag=[1.0, 1.0],
-        couplings={(1, 1): 2.0},
-        hbar=-1.0,
-    )
-    problems = m.validate()
-    assert "masses[0] must be > 0" in problems
-    assert "coupling (1, 1): self-coupling forbidden" in problems
-    assert any("hbar" in p for p in problems)
+    with pytest.raises(ValidationError) as err:
+        OscillatorModel(
+            masses=[0.0, 1.0],
+            stiffness_diag=[1.0, 1.0],
+            couplings={(1, 1): 2.0},
+            hbar=-1.0,
+        )
+    assert err.value.violations == [
+        "masses[0] must be > 0",
+        "coupling (1, 1): self-coupling forbidden",
+        "hbar must be > 0",
+    ]
 
 
 def test_validate_flags_out_of_range_coupling():
-    m = OscillatorModel(
-        masses=[1.0, 1.0],
-        stiffness_diag=[1.0, 1.0],
-        couplings={(0, 5): 1.0},
-    )
-    assert any("out of range" in p for p in m.validate())
+    with pytest.raises(ValidationError) as err:
+        OscillatorModel(
+            masses=[1.0, 1.0],
+            stiffness_diag=[1.0, 1.0],
+            couplings={(0, 5): 1.0},
+        )
+    assert err.value.violations == ["coupling (0, 5) out of range for n=2"]
 
 
 def test_validate_clean_model_is_empty():
-    assert OscillatorModel.identical(3, d=0.3).validate() == []
+    assert validate(OscillatorModel.identical(3, d=0.3)) == []
 
 
-def test_build_rejects_invalid_model():
-    m = OscillatorModel(masses=[-1.0], stiffness_diag=[1.0])
+def test_with_coupling_rejects_non_finite_value():
+    m = OscillatorModel.identical(2, d=1.0)
     with pytest.raises(ValidationError) as err:
-        build_T(m)
-    assert "masses[0] must be > 0" in str(err.value)
-    with pytest.raises(ValidationError):
-        build_V(m)
+        m.with_coupling(0, 1, math.inf)
+    assert err.value.violations == ["coupling (0, 1) must be finite"]
 
 
 def test_kinetic_override_replaces_diagonal_T():
@@ -105,8 +108,9 @@ def test_kinetic_override_replaces_diagonal_T():
 
 def test_kinetic_override_dimension_checked():
     k = SymMatrix(np.eye(3))
-    m = OscillatorModel(masses=[1.0], stiffness_diag=[1.0], kinetic_override=k)
-    assert any("kinetic" in p for p in m.validate())
+    with pytest.raises(ValidationError) as err:
+        OscillatorModel(masses=[1.0], stiffness_diag=[1.0], kinetic_override=k)
+    assert err.value.violations == ["kinetic_override is 3x3, expected 1x1"]
 
 
 def test_potential_quadratic_form_matches_sum():
