@@ -4,10 +4,10 @@ All normal-mode frequencies are real and positive exactly when
 S = T^(1/2) V T^(1/2) is positive definite, which by Sylvester's
 criterion is equivalent to all leading principal minors of S being
 positive.  For n <= 5 with diagonal kinetic matrices the same
-conditions have explicit polynomial forms in the stiffness constants
-k_i = m_i w_i^2 and the couplings D_ij; those polynomials are kept
-here as literal term lists so they can be checked term by term against
-an exact expansion of the scaled minors.
+conditions are integer polynomials in the stiffness constants
+k_i = m_i w_i^2 and the couplings D_ij, kept as literal term lists that
+verify_condition_terms checks against an exact expansion.  Every closed
+form runs on the exact integer values of the floats and is rounded once.
 """
 
 from __future__ import annotations
@@ -180,47 +180,62 @@ def _require_n(model: OscillatorModel, n: int) -> None:
         )
 
 
-def _eval_terms(terms, stiffness: list[float], couplings) -> float:
-    """Evaluate a term list on Python floats with compensated summation.
+def _dyadic(xs) -> tuple[list[int], int]:
+    """Integers n_i and one shift s >= 0 with x_i = n_i / 2**s exactly.
 
-    A term beyond the float range makes the value inf, or nan when such
-    terms of both signs meet; nothing raises or warns.
+    Every finite float is a dyadic rational, so nothing is rounded.
     """
-    vals = []
-    for coeff, pairs, sites in terms:
-        x = float(coeff)
-        for i, j in pairs:
-            x *= couplings.get((i - 1, j - 1), 0.0)
-        for i in sites:
-            x *= stiffness[i - 1]
-        vals.append(x)
+    ratios = [float(x).as_integer_ratio() for x in xs]
+    shift = max((den.bit_length() - 1 for _, den in ratios), default=0)
+    return [num << (shift - den.bit_length() + 1) for num, den in ratios], shift
+
+
+def _rounded(num: int, den: int, shift: int = 0) -> float:
+    """num / (den * 2**shift) for den > 0, rounded once.
+
+    int / int true division is correctly rounded, subnormals included;
+    past the float range the result is +-inf.
+    """
+    if shift > 0:
+        den <<= shift
+    else:
+        num <<= -shift
     try:
-        return math.fsum(vals)
-    except (ValueError, OverflowError):  # inf - inf, or a sum past the range
-        return math.nan
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _exact(model: OscillatorModel, n: int):
+    """(M, sm, K, D, sk) with m_i = M[i] / 2**sm, k_i = K[i] / 2**sk and
+    D_ij = D[(i, j)] / 2**sk for the first n oscillators, in integers.
+    Stiffnesses and couplings share one shift because every condition is
+    homogeneous in them."""
+    masses, sm = _dyadic(model.masses[:n].tolist())
+    pairs = [pair for pair in model.couplings if pair[1] < n]
+    kd, sk = _dyadic(model.stiffness_diag[:n].tolist() + [model.couplings[p] for p in pairs])
+    return masses, sm, kd[:n], dict(zip(pairs, kd[n:])), sk
+
+
+def _condition_num(k: int, stiffness: list[int], couplings: dict) -> int:
+    """A term list of CONDITION_TERMS evaluated on integers."""
+    total = 0
+    for coeff, pairs, sites in CONDITION_TERMS[k]:
+        for i, j in pairs:
+            coeff *= couplings.get((i - 1, j - 1), 0)
+        for i in sites:
+            coeff *= stiffness[i - 1]
+        total += coeff
+    return total
 
 
 def _condition_value(model: OscillatorModel, k: int) -> float:
-    return _eval_terms(CONDITION_TERMS[k], model.stiffness_diag.tolist(), model.couplings)
-
-
-def _per_unit_mass(model: OscillatorModel) -> tuple[list[float], dict]:
-    """k_i / m_i and D_ij / sqrt(m_i m_j) on Python floats.
-
-    These are the diagonal of S and twice its off-diagonal entries, so
-    they stay in range whenever S does.  Each index occurs twice in every
-    term of a condition (k_i counting twice), so its term list on them
-    gives the condition for size k divided by m_1...m_k.
-    """
-    masses = model.masses.tolist()
-    roots = [math.sqrt(m) for m in masses]
-    stiffness = [c / m for c, m in zip(model.stiffness_diag.tolist(), masses)]
-    couplings = {(i, j): d / (roots[i] * roots[j]) for (i, j), d in model.couplings.items()}
-    return stiffness, couplings
+    _, _, stiffness, couplings, sk = _exact(model, k)
+    return _rounded(_condition_num(k, stiffness, couplings), 1, k * sk)
 
 
 # ---------------------------------------------------------------------------
-# closed forms for n = 2 and n = 3
+# closed forms for n = 2 and n = 3, on exact integers, each rounded once
 # ---------------------------------------------------------------------------
 
 
@@ -229,109 +244,62 @@ def n2_conditions(model: OscillatorModel) -> tuple[float, float]:
 
     Returns (m2*C1 + m1*C2, 4*C1*C2 - C3**2); both must be positive for a
     bound state.  The first is m1*m2 times the trace of S, the second is
-    4*m1*m2 times its determinant.
+    4*m1*m2 times its determinant.  Each is exact, rounded once.
     """
     _require_n(model, 2)
-    m1, m2 = model.masses.tolist()
-    c1, c2 = model.stiffness_diag.tolist()
-    c3 = model.couplings.get((0, 1), 0.0)
-    return (m2 * c1 + m1 * c2, 4.0 * c1 * c2 - c3 * c3)
+    (m1, m2), sm, (c1, c2), _, sk = _exact(model, 2)
+    return _rounded(m2 * c1 + m1 * c2, 1, sm + sk), _condition_value(model, 2)
 
 
 def n2_closed_eigenvalues(model: OscillatorModel) -> tuple[float, float]:
     """Squared mode frequencies of two oscillators in closed form.
 
     lambda_{1,2} = (m1*C2 + m2*C1 -+ R) / (2 m1 m2) with
-    R = sqrt((m2*C1 - m1*C2)**2 + m1*m2*C3**2); returned ascending.
-    Where a square or product of that form leaves the float range, or a
-    nonzero one falls below its normal range and loses digits, the same
-    roots come from the per-mass form
-    (w1 + w2 -+ hypot(w1 - w2, C3 / sqrt(m1 m2))) / 2 with w_i = C_i / m_i.
+    R = sqrt((m2*C1 - m1*C2)**2 + m1*m2*C3**2); returned ascending.  On
+    exact integers: R is taken by ``math.isqrt`` with 64 guard bits, the
+    root that would cancel is the exact product of the roots,
+    (4*C1*C2 - C3**2) / (4 m1 m2), over the other, and each root is
+    rounded once.
     """
     _require_n(model, 2)
-    m1, m2 = model.masses.tolist()
-    c1, c2 = model.stiffness_diag.tolist()
-    c3 = model.couplings.get((0, 1), 0.0)
-    try:
-        diff = m2 * c1 - m1 * c2
-        square, cross = diff**2, m1 * m2 * c3 * c3
-        r = math.sqrt(square + cross)
-        base = m1 * c2 + m2 * c1
-        lo, hi = (base - r) / (2.0 * m1 * m2), (base + r) / (2.0 * m1 * m2)
-        tiny = sys.float_info.min
-        underflow = m1 * m2 < tiny or any(
-            abs(product) < tiny
-            for product, factor in ((m2 * c1, c1), (m1 * c2, c2), (square, diff), (cross, c3))
-            if factor
-        )
-    except (OverflowError, ZeroDivisionError):
-        lo = hi = math.inf
-        underflow = True
-    if math.isfinite(lo) and math.isfinite(hi) and not underflow:
-        return lo, hi
-    (w1, w2), unit = _per_unit_mass(model)
-    half = 0.5 * math.hypot(w1 - w2, unit.get((0, 1), 0.0))
-    mid = 0.5 * (w1 + w2)
-    return mid - half, mid + half
+    (m1, m2), sm, (c1, c2), couplings, sk = _exact(model, 2)
+    c3 = couplings.get((0, 1), 0)
+    base, guard = m2 * c1 + m1 * c2, 64
+    r = math.isqrt(((m2 * c1 - m1 * c2) ** 2 + m1 * m2 * c3 * c3) << 2 * guard)
+    far = (base << guard) + (r if base >= 0 else -r)  # (base +- R) * 2**guard
+    if far == 0:  # every stiffness and coupling is zero
+        return 0.0, 0.0
+    det = 4 * c1 * c2 - c3 * c3
+    far_root = _rounded(far, 2 * m1 * m2, guard + sk - sm)
+    near_root = _rounded(det if far > 0 else -det, 2 * abs(far), sk - sm - guard)
+    return (near_root, far_root) if base >= 0 else (far_root, near_root)
 
 
 def n3_charpoly(model: OscillatorModel) -> tuple[float, float, float]:
     """(a, b, c) of lambda^3 - a lambda^2 + b lambda - c for three oscillators.
 
-    Where D_ij^2 / (4 m_i m_j) or D12 D13 D23 / (4 m1 m2 m3) leave the
-    float range, the same form runs per unit mass: on unit masses, w_i
-    and D_ij / sqrt(m_i m_j) (``_per_unit_mass``).
+    Each is a ratio of integer polynomials in m, k and D over the one
+    denominator 4 m1 m2 m3, evaluated exactly and rounded once.
     """
-    _require_n(model, 3)
-    (w1, w2, w3), unit = _per_unit_mass(model)
-    for masses, couplings in ((model.masses.tolist(), model.couplings), ([1.0] * 3, unit)):
-        m1, m2, m3 = masses
-        d12, d13, d23 = (couplings.get(pair, 0.0) for pair in ((0, 1), (0, 2), (1, 2)))
-        try:
-            a = w1 + w2 + w3
-            b = (
-                w1 * w2 + w1 * w3 + w2 * w3
-                - d12 * d12 / (4.0 * m1 * m2)
-                - d13 * d13 / (4.0 * m1 * m3)
-                - d23 * d23 / (4.0 * m2 * m3)
-            )
-            c = (
-                w1 * w2 * w3
-                - d12 * d12 * w3 / (4.0 * m1 * m2)
-                - d13 * d13 * w2 / (4.0 * m1 * m3)
-                - d23 * d23 * w1 / (4.0 * m2 * m3)
-                + d12 * d13 * d23 / (4.0 * m1 * m2 * m3)
-            )
-        except ZeroDivisionError:  # a mass product underflowed to zero
-            continue
-        if math.isfinite(b) and math.isfinite(c):
-            break
-    return a, b, c
+    route = necessary_coefficient_conditions(model)
+    return route.a, route.b, route.c
 
 
-def _power(x: float, k: int) -> float:
-    """x**k on Python floats, or the infinity numpy gives where Python
-    raises OverflowError."""
-    try:
-        return x**k
-    except OverflowError:
-        return math.copysign(math.inf, x) if k % 2 else math.inf
+def _discriminant_num(a: int, b: int, c: int, den: int) -> int:
+    """Numerator over den**4 of the discriminant of
+    lambda^3 - a lambda^2 + b lambda - c, for a, b, c given over den."""
+    return a * a * b * b - 4 * a**3 * c + (18 * a * b * c - 4 * b**3 - 27 * c * c * den) * den
 
 
 def n3_discriminant(a: float, b: float, c: float) -> float:
     """Discriminant of lambda^3 - a lambda^2 + b lambda - c.
 
     Equals the product of squared root differences, so it is non-negative
-    exactly when all three roots are real.
+    exactly when all three roots are real.  Exact in the float arguments,
+    rounded once.
     """
-    a, b, c = float(a), float(b), float(c)
-    return (
-        a * a * b * b
-        - 4.0 * _power(a, 3) * c
-        + 18.0 * a * b * c
-        - 4.0 * _power(b, 3)
-        - 27.0 * c * c
-    )
+    (a, b, c), shift = _dyadic((a, b, c))
+    return _rounded(_discriminant_num(a, b, c, 1 << shift), 1, 4 * shift)
 
 
 def n3_conditions(model: OscillatorModel) -> tuple[float, float]:
@@ -364,8 +332,9 @@ class CoefficientConditions:
     With all on-site stiffness positive (so a > 0 is automatic), the
     system is bound exactly when b > 0, c > 0 and the discriminant is
     non-negative: the discriminant forces three real roots and the sign
-    pattern of the coefficients then forces them positive.  The
-    discriminant flag tolerates -1e-9 * (1 + |a|^6) of rounding.
+    pattern of the coefficients then forces them positive.  The three
+    flags are exact signs of the integer numerators, so the discriminant
+    of a symmetric S is never negative; the floats are rounded once.
     """
 
     a: float
@@ -382,16 +351,24 @@ class CoefficientConditions:
 
 
 def necessary_coefficient_conditions(model: OscillatorModel) -> CoefficientConditions:
-    a, b, c = n3_charpoly(model)
-    disc = n3_discriminant(a, b, c)
+    _require_n(model, 3)
+    masses, sm, k, d, sk = _exact(model, 3)
+    m1, m2, m3 = masses
+    # a, b and c are these integers over den times 2**t, 2**(2t) and 2**(3t)
+    den, t = 4 * m1 * m2 * m3, sm - sk
+    a = 4 * (k[0] * m2 * m3 + k[1] * m1 * m3 + k[2] * m1 * m2)
+    b = sum((4 * k[i] * k[j] - d.get((i, j), 0) ** 2) * masses[3 - i - j]
+            for i, j in ((0, 1), (0, 2), (1, 2)))
+    c = _condition_num(3, k, d)
+    disc = _discriminant_num(a, b, c, den)
     return CoefficientConditions(
-        a=a,
-        b=b,
-        c=c,
-        discriminant=disc,
-        b_positive=b > 0.0,
-        c_positive=c > 0.0,
-        discriminant_nonneg=disc >= -1e-9 * (1.0 + _power(abs(a), 6)),
+        a=_rounded(a, den, -t),
+        b=_rounded(b, den, -2 * t),
+        c=_rounded(c, den, -3 * t),
+        discriminant=_rounded(disc, den**4, -6 * t),
+        b_positive=b > 0,
+        c_positive=c > 0,
+        discriminant_nonneg=disc >= 0,
     )
 
 
@@ -493,39 +470,38 @@ def bound_state(an: Analysis) -> BoundStateReport:
     )
 
 
-def _minor_scale(masses: np.ndarray, k: int) -> float:
-    return 4.0 ** (k // 2) * math.prod(masses[:k].tolist())
+def _minor_scale(masses: np.ndarray, k: int, base: float = 4.0) -> float:
+    return base ** (k // 2) * math.prod(masses[:k].tolist())
 
 
 def _closed_form_checks(model, s, minors, eig, verdict):
-    # Each polynomial condition is compared with its scaled minor in the
-    # units of the model; where either side leaves the float range, both
-    # are divided by the product of the masses.
+    # Each closed form is an exact integer numerator over a power of two.
+    # It is compared with its reference in the units of the model where
+    # both are normal floats, and otherwise in the units of S: divided by
+    # the exact product of the masses, against the reference without them.
     checks = []
     discriminant = None
     n = model.n
     masses = model.masses
+    mass_ints, sm, stiffness, couplings, sk = _exact(model, min(n, 5))
+
+    def compare(name, num, shift, k, quantity, base=4.0):
+        value, reference = _rounded(num, 1, shift), _minor_scale(masses, k, base) * quantity
+        if not all(sys.float_info.min <= abs(x) < math.inf for x in (value, reference)):
+            value = _rounded(num, math.prod(mass_ints[:k]), shift - k * sm)
+            reference = base ** (k // 2) * quantity
+        checks.append(_agreement(name, value, reference))
 
     names = {2: "pair_condition", 3: "triple_condition",
              4: "quartic_condition", 5: "quintic_condition"}
     for k in range(2, min(n, 5) + 1):
-        minor = float(minors[k - 1])
-        value = _condition_value(model, k)
-        reference = _minor_scale(masses, k) * minor
-        if not (math.isfinite(value) and math.isfinite(reference)):
-            value = _eval_terms(CONDITION_TERMS[k], *_per_unit_mass(model))
-            reference = 4.0 ** (k // 2) * minor
-        checks.append(_agreement(names[k], value, reference))
+        compare(names[k], _condition_num(k, stiffness, couplings), k * sk, k,
+                float(minors[k - 1]))
 
     if n == 2:
-        cond1, _ = n2_conditions(model)
-        trace = float(np.trace(s.mat))
-        m1, m2 = masses.tolist()
-        trace_ref = m1 * m2 * trace
-        if not (math.isfinite(cond1) and math.isfinite(trace_ref)):
-            c1, c2 = model.stiffness_diag.tolist()
-            cond1, trace_ref = c1 / m1 + c2 / m2, trace
-        checks.append(_agreement("stiffness_sum_condition", cond1, trace_ref))
+        (m1, m2), (c1, c2) = mass_ints, stiffness
+        compare("stiffness_sum_condition", m2 * c1 + m1 * c2, sm + sk, 2,
+                float(np.trace(s.mat)), base=1.0)
         lo, hi = n2_closed_eigenvalues(model)
         checks.append(_agreement("closed_eigenvalue_low", lo, float(eig.values[0]), 1e-10))
         checks.append(_agreement("closed_eigenvalue_high", hi, float(eig.values[1]), 1e-10))
@@ -535,7 +511,7 @@ def _closed_form_checks(model, s, minors, eig, verdict):
         discriminant = route.discriminant
         lam = eig.values
         l0, l1, l2 = lam.tolist()
-        prod_disc = _power(l0 - l1, 2) * _power(l0 - l2, 2) * _power(l1 - l2, 2)
+        prod_disc = math.prod(d * d for d in (l0 - l1, l0 - l2, l1 - l2))
         checks.append(_agreement("charpoly_trace", route.a, float(np.sum(lam))))
         checks.append(_agreement("charpoly_pair_sum", route.b, l0 * l1 + l0 * l2 + l1 * l2))
         checks.append(_agreement("charpoly_det", route.c, float(np.prod(lam))))

@@ -290,13 +290,12 @@ def run_analysis(req: AnalysisRequest) -> AnalysisReport:
 
 
 def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError("cannot serialize non-finite float")
-    return format(x, ".17g")
+    return format(x, ".17g") if math.isfinite(x) else "null"
 
 
 def dumps_json(obj, indent: int = 0) -> str:
-    """JSON text with floats at 17 significant digits."""
+    """JSON text with floats at 17 significant digits; a non-finite float
+    is null."""
     # Plain floats and ints are most of a report's leaves (levels, matrix
     # entries), so they skip the isinstance ladder here and in the list
     # loop; bool is a subclass of int and numpy scalars are not these exact

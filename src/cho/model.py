@@ -112,9 +112,11 @@ def validate(model: OscillatorModel) -> list[str]:
     n = model.n
     if not 1 <= n <= MAX_DIM:
         bad.append(f"number of oscillators must be in [1, {MAX_DIM}], got {n}")
-    for i, m in enumerate(model.masses):
+    for i, m in enumerate(model.masses.tolist()):
         if not np.isfinite(m) or m <= 0.0:
             bad.append(f"masses[{i}] must be > 0")
+        elif model.kinetic_override is None and not np.isfinite(1.0 / m):
+            bad.append(f"masses[{i}] = {m:.3g} is too small: 1/m overflows")
     if model.stiffness_diag.shape[0] != n:
         bad.append(
             f"stiffness_diag has length {model.stiffness_diag.shape[0]}, expected {n}"

@@ -1,8 +1,10 @@
 """Bound-state classification: Sylvester minors, closed-form polynomial
 conditions for n = 2..5, and the cubic-coefficient route."""
 
+import decimal
 import math
-import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -105,64 +107,51 @@ def test_n2_conditions_known_case():
     assert n2_conditions(m) == pytest.approx((8.0, 23.0))
 
 
-def _reference_n2_closed_eigenvalues(model):
-    """The closed form as first written, on the model's numpy scalars."""
-    m1, m2 = model.masses
-    c1, c2 = model.stiffness_diag
-    c3 = model.couplings.get((0, 1), 0.0)
-    r = math.sqrt((m2 * c1 - m1 * c2) ** 2 + m1 * m2 * c3 * c3)
-    base = m1 * c2 + m2 * c1
-    return (base - r) / (2.0 * m1 * m2), (base + r) / (2.0 * m1 * m2)
+def _decimal_n2_roots(model):
+    """The closed form at 60 digits, on the exact decimal values of the floats."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        m1, m2, c1, c2 = map(Decimal, (*model.masses.tolist(), *model.stiffness_diag.tolist()))
+        c3 = Decimal(model.couplings.get((0, 1), 0.0))
+        r = ((m2 * c1 - m1 * c2) ** 2 + m1 * m2 * c3 * c3).sqrt()
+        base = m1 * c2 + m2 * c1
+        return (base - r) / (2 * m1 * m2), (base + r) / (2 * m1 * m2)
 
 
-def _underflows(model):
-    """Whether a nonzero product of the closed form falls below the normal range."""
-    m1, m2 = model.masses.tolist()
-    c1, c2 = model.stiffness_diag.tolist()
-    c3 = model.couplings.get((0, 1), 0.0)
-    diff = m2 * c1 - m1 * c2
-    products = [(m1 * m2, 1.0), (m2 * c1, c1), (m1 * c2, c2), (diff * diff, diff),
-                (m1 * m2 * c3 * c3, c3)]
-    return any(abs(p) < np.finfo(float).tiny for p, factor in products if factor)
-
-
-@pytest.mark.filterwarnings("error")
-def test_n2_closed_eigenvalues_bit_identical_where_finite_else_scaled():
+def _n2_draws():
+    # (m2 C1 - m1 C2)^2 = 1e-524 is below the float range
+    yield OscillatorModel.two_coupled(1e-131, 2e-131, 1e-131, 3e-131, 1e-131)
     rng = np.random.default_rng(43)
-    scaled = underflowed = 0
     for _ in range(400):
         mass_unit = 10.0 ** rng.uniform(-200, 200)
         stiffness_unit = mass_unit * 10.0 ** rng.uniform(-5, 5)
-        m = OscillatorModel.two_coupled(
+        yield OscillatorModel.two_coupled(
             rng.uniform(0.1, 10) * mass_unit,
             rng.uniform(0.1, 10) * mass_unit,
             rng.uniform(0.1, 5) * stiffness_unit,
             rng.uniform(0.1, 5) * stiffness_unit,
             rng.uniform(-5, 5) * stiffness_unit,
         )
+    # near-singular: 4 C1 C2 - C3^2 is about 1e-8 to 1e-15 of 4 C1 C2
+    for _ in range(100):
+        unit = 10.0 ** rng.uniform(-100, 100)
+        c1, c2 = rng.uniform(0.1, 5, size=2) * unit
+        c3 = 2.0 * math.sqrt(c1 * c2) * (1.0 - 10.0 ** rng.uniform(-15, -8))
+        yield OscillatorModel.two_coupled(rng.uniform(0.1, 10), rng.uniform(0.1, 10),
+                                          c1, c2, rng.choice([-1.0, 1.0]) * c3)
+
+
+@pytest.mark.filterwarnings("error")
+def test_n2_closed_eigenvalues_within_one_ulp_of_exact():
+    for m in _n2_draws():
         lo, hi = n2_closed_eigenvalues(m)
-        with warnings.catch_warnings(), np.errstate(all="ignore"):
-            warnings.simplefilter("ignore")
-            try:
-                ref = _reference_n2_closed_eigenvalues(m)
-            except ZeroDivisionError:
-                ref = (math.nan, math.nan)
-            underflow = _underflows(m)
+        for got, exact in zip((lo, hi), _decimal_n2_roots(m)):
+            assert abs(Decimal(got) - exact) <= Decimal(math.ulp(float(exact))), (m, got, exact)
         m1, m2 = m.masses
         off = m.couplings[(0, 1)] / (2.0 * math.sqrt(m1) * math.sqrt(m2))
         s = np.array([[m.stiffness_diag[0] / m1, off], [off, m.stiffness_diag[1] / m2]])
         want = np.linalg.eigvalsh(s)
-        if all(math.isfinite(x) for x in ref) and not underflow:
-            assert (lo, hi) == ref
-            assert (lo, hi) == pytest.approx(tuple(want), rel=1e-10, abs=1e-10 * max(abs(want)))
-        else:
-            # The per-mass form, taken where the plain one overflows or
-            # underflows, works on S itself.
-            scaled += 1
-            underflowed += all(math.isfinite(x) for x in ref)
-            assert (lo, hi) == pytest.approx(tuple(want), rel=1e-12, abs=1e-12 * max(abs(want)))
-    assert 50 < scaled < 350
-    assert underflowed > 10
+        assert (lo, hi) == pytest.approx(tuple(want), rel=1e-12, abs=1e-12 * max(abs(want)))
 
 
 def test_n2_conditions_match_sylvester():
@@ -238,6 +227,39 @@ def test_n3_discriminant_equals_root_spread():
         )
 
 
+def _fraction_charpoly(model):
+    """a, b and c of the cubic on the exact rational values of the floats."""
+    m = [Fraction(x) for x in model.masses.tolist()]
+    k = [Fraction(x) for x in model.stiffness_diag.tolist()]
+    d = {pair: Fraction(x) for pair, x in model.couplings.items()}
+    a = sum(k[i] / m[i] for i in range(3))
+    b = sum((4 * k[i] * k[j] - d.get((i, j), 0) ** 2) / (4 * m[i] * m[j])
+            for i, j in ((0, 1), (0, 2), (1, 2)))
+    c = _fraction_condition_value(model, 3) / (4 * m[0] * m[1] * m[2])
+    return a, b, c
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("masses,stiffness,couplings", [
+    # 4 m1 m2 m3 is subnormal: charpoly_det read 0.86454 against 0.86458
+    ([1e-107, 2e-107, 3e-107], [1e-107, 3e-107, 2e-107],
+     {(0, 1): 1e-107, (0, 2): 0.5e-107, (1, 2): 1e-107}),
+    # D_ij^2 and m_i m_j overflow
+    ([1e200] * 3, [1e200, 3e200, 2e200], {(0, 1): 1e200, (1, 2): 1e200}),
+    # the discriminant, about 1e360, is past the float range
+    ([1.0] * 3, [1e60, 3e60, 2e60], {(0, 1): 1e60, (1, 2): 1e60}),
+], ids=["masses-1e-107", "masses-1e200", "stiffness-1e60"])
+def test_cubic_route_correctly_rounded_on_named_models(masses, stiffness, couplings):
+    m = OscillatorModel(masses, stiffness, couplings)
+    a, b, c = _fraction_charpoly(m)
+    route = necessary_coefficient_conditions(m)
+    assert n3_charpoly(m) == (route.a, route.b, route.c) == tuple(map(float, (a, b, c)))
+    exact = a * a * b * b - 4 * a**3 * c + 18 * a * b * c - 4 * b**3 - 27 * c * c
+    assert route.discriminant == _rounded_fraction(exact)
+    assert route.discriminant_nonneg and exact >= 0
+    assert all(check.passed for check in classify(m).closed_form_checks)
+
+
 def test_coefficient_route_agrees_with_verdict():
     rng = np.random.default_rng(44)
     agreements = 0
@@ -296,22 +318,30 @@ def test_condition_equals_scaled_minor(n):
         assert got == pytest.approx(expect, rel=1e-8, abs=1e-8)
 
 
-def _reference_condition_value(model, k):
-    """The term list evaluated as first written, on the model's numpy scalars."""
-    vals = []
+def _rounded_fraction(x: Fraction) -> float:
+    """x correctly rounded to a float, or +-inf past the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _fraction_condition_value(model, k):
+    """The term list of size k on the exact rational values of the floats."""
+    total = Fraction(0)
     for coeff, pairs, sites in CONDITION_TERMS[k]:
-        x = float(coeff)
+        x = Fraction(coeff)
         for i, j in pairs:
-            x *= model.couplings.get((i - 1, j - 1), 0.0)
+            x *= Fraction(model.couplings.get((i - 1, j - 1), 0.0))
         for i in sites:
-            x *= model.stiffness_diag[i - 1]
-        vals.append(x)
-    return math.fsum(vals)
+            x *= Fraction(float(model.stiffness_diag[i - 1]))
+        total += x
+    return total
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_condition_values_bit_identical_where_finite(n):
+def test_condition_values_correctly_rounded(n):
     rng = np.random.default_rng(60 + n)
     beyond = 0
     for _ in range(300):
@@ -322,18 +352,9 @@ def test_condition_values_bit_identical_where_finite(n):
             stiffness_diag=f * np.asarray(m.stiffness_diag),
             couplings={key: f * d for key, d in m.couplings.items()},
         )
-        got = _condition_value(m, n)
-        with warnings.catch_warnings(), np.errstate(all="ignore"):
-            warnings.simplefilter("ignore")
-            try:
-                want = _reference_condition_value(m, n)
-            except (ValueError, OverflowError):  # -inf + inf, or a sum past the range
-                want = math.nan
-        if math.isfinite(want):
-            assert got == want
-        else:
-            beyond += 1
-            assert not math.isfinite(got)
+        want = _rounded_fraction(_fraction_condition_value(m, n))
+        assert _condition_value(m, n) == want
+        beyond += math.isinf(want)
     assert 10 < beyond < 250
 
 

@@ -177,7 +177,7 @@ def reference_dumps_json(obj, indent: int = 0) -> str:
     if isinstance(obj, (float, np.floating)):
         x = float(obj)
         if math.isnan(x) or math.isinf(x):
-            raise ValueError("cannot serialize non-finite float")
+            return "null"
         return format(x, ".17g")
     if isinstance(obj, str):
         return json.dumps(obj)
@@ -225,9 +225,9 @@ def test_dumps_json_matches_reference_on_mixed_values():
     assert dumps_json(doc, indent=4) == reference_dumps_json(doc, indent=4)
     for leaf in (np.float64(2.0), np.int64(3), np.bool_(True), True, 4, 4.5, None, "s"):
         assert dumps_json(leaf) == reference_dumps_json(leaf)
-    for bad in (math.nan, math.inf, np.float64(-math.inf), [1.0, math.nan]):
-        with pytest.raises(ValueError):
-            dumps_json(bad)
+    for non_finite in (math.nan, math.inf, np.float64(-math.inf), [1.0, math.nan]):
+        assert dumps_json(non_finite) == reference_dumps_json(non_finite)
+    assert json.loads(dumps_json([1.0, math.nan, -math.inf])) == [1.0, None, None]
 
 
 def test_report_model_block_round_trips_bit_exact():
@@ -540,7 +540,11 @@ def test_polynomial_conditions_beyond_the_float_range(tmp_path, capsys, command,
     ({"masses": [1e-131, 2e-131], "stiffness_diag": [1e-131, 3e-131],
       "couplings": [[1, 2, 1e-131]]},
      ["closed_eigenvalue_low", "closed_eigenvalue_high"]),
-], ids=["n3-heavy", "n2-light"])
+    # 4 m1 m2 m3 is subnormal, and so is the triple condition in model units
+    ({"masses": [1e-107, 2e-107, 3e-107], "stiffness_diag": [1e-107, 3e-107, 2e-107],
+      "couplings": [[1, 2, 1e-107], [1, 3, 0.5e-107], [2, 3, 1e-107]]},
+     ["triple_condition", "charpoly_det", "discriminant_nonnegative"]),
+], ids=["n3-heavy", "n2-light", "n3-light"])
 def test_closed_forms_in_extreme_units(tmp_path, capsys, doc, names):
     path = write_model(tmp_path, doc)
     assert main(["analyze", path]) == 0
@@ -553,6 +557,34 @@ def test_closed_forms_in_extreme_units(tmp_path, capsys, doc, names):
     assert all(c["passed"] for c in checks.values())
     for name in names:
         assert checks[name]["value"] == pytest.approx(checks[name]["reference"], rel=1e-10)
+
+
+@pytest.mark.filterwarnings("error")
+def test_discriminant_past_the_float_range(tmp_path, capsys):
+    # the eigenvalues are about 1e60, so the discriminant is about 1e360
+    path = write_model(tmp_path, {"masses": [1, 1, 1], "stiffness_diag": [1e60, 3e60, 2e60],
+                                  "couplings": [[1, 2, 1e60], [2, 3, 1e60]]})
+    assert main(["analyze", path]) == 0
+    out = capsys.readouterr().out
+    assert "  discriminant  inf\n" in out and "MISMATCH" not in out
+    assert main(["analyze", path, "--format", "json"]) == 0
+    bound = json.loads(capsys.readouterr().out)["bound_state"]
+    assert bound["discriminant"] is None
+    checks = {c["name"]: c for c in bound["closed_form_checks"]}
+    assert all(c["passed"] for c in checks.values())
+    assert checks["discriminant_nonnegative"]["value"] is None
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command,extra", [
+    ("analyze", []), ("check", []), ("sweep", SWEEP_ARGS),
+], ids=["analyze", "check", "sweep"])
+def test_mass_with_overflowing_reciprocal_exits_3_naming_it(tmp_path, capsys, command, extra):
+    path = write_model(tmp_path, {"masses": [1e-320, 1], "stiffness_diag": [1, 1]})
+    assert main([command, path, *extra]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: invalid model: masses[0] = 1e-320 is too small: 1/m overflows\n"
 
 
 @pytest.mark.parametrize("m_ref", ["1e-20", "1e300"])
