@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -532,91 +533,37 @@ def _closed_form_checks(model, s, minors, eig, verdict):
 # ---------------------------------------------------------------------------
 # exact verification of the term lists
 # ---------------------------------------------------------------------------
-# Minimal integer polynomials: {(stiffness_exponents, coupling_exponents):
-# coefficient} with tuple keys, enough to expand a small determinant.
+# A monomial is the sorted tuple of its factor names, ("D12", "D12", "k3")
+# for D12^2 k3, so equal products get equal keys and print in order.
 
 
-def _poly_mul(p: dict, q: dict) -> dict:
-    out: dict = {}
-    for (g1, d1), c1 in p.items():
-        for (g2, d2), c2 in q.items():
-            key = (
-                tuple(a + b for a, b in zip(g1, g2)),
-                tuple(a + b for a, b in zip(d1, d2)),
-            )
-            out[key] = out.get(key, 0) + c1 * c2
-    return {k: v for k, v in out.items() if v}
+def _monomial(pairs, sites) -> tuple:
+    return tuple(sorted([f"D{i}{j}" for i, j in pairs] + [f"k{i}" for i in sites]))
 
 
-def _det_poly(rows: list[list[dict]]) -> dict:
-    if len(rows) == 1:
-        return rows[0][0]
-    total: dict = {}
-    for col, entry in enumerate(rows[0]):
-        if not entry:
-            continue
-        minor = [r[:col] + r[col + 1 :] for r in rows[1:]]
-        sub = _det_poly(minor)
-        sign = 1 if col % 2 == 0 else -1
-        for key, coeff in _poly_mul(entry, sub).items():
-            total[key] = total.get(key, 0) + sign * coeff
-    return {k: v for k, v in total.items() if v}
-
-
-def _pair_index(n: int) -> dict:
-    return {p: i for i, p in enumerate(itertools.combinations(range(1, n + 1), 2))}
-
-
-def _term_key(n: int, pairs, sites, pair_pos) -> tuple:
-    g = [0] * n
-    for i in sites:
-        g[i - 1] += 1
-    d = [0] * len(pair_pos)
-    for p in pairs:
-        d[pair_pos[p]] += 1
-    return (tuple(g), tuple(d))
-
-
-def _format_monomial(n: int, key: tuple, pair_pos: dict) -> str:
-    g_exp, d_exp = key
-    pairs = sorted(pair_pos, key=pair_pos.get)
-    parts = []
-    for pos, e in enumerate(d_exp):
-        if e:
-            i, j = pairs[pos]
-            parts.append(f"D{i}{j}" + (f"^{e}" if e > 1 else ""))
-    for i, e in enumerate(g_exp):
-        if e:
-            parts.append(f"k{i + 1}" + (f"^{e}" if e > 1 else ""))
-    return "*".join(parts) if parts else "1"
+def _format_monomial(key: tuple) -> str:
+    powers = Counter(key)
+    return "*".join(f + (f"^{e}" if e > 1 else "") for f, e in powers.items()) or "1"
 
 
 def _expand_scaled_minor(n: int) -> dict:
     """Exact expansion of 4^floor(n/2) * m_1..m_n * minor_n(S).
 
-    Equals det(W) with W_ii = 2 k_i and W_ij = D_ij, halved for odd n.
+    Equals det(W) with W_ii = 2 k_i and W_ij = D_ij, halved for odd n,
+    summed by the Leibniz formula over the n! permutations.
     """
-    pair_pos = _pair_index(n)
-    npairs = len(pair_pos)
-    rows = []
-    for i in range(1, n + 1):
-        row = []
-        for j in range(1, n + 1):
-            if i == j:
-                key = _term_key(n, (), (i,), pair_pos)
-                row.append({key: 2})
-            else:
-                p = (min(i, j), max(i, j))
-                key = _term_key(n, (p,), (), pair_pos)
-                row.append({key: 1})
-        rows.append(row)
-    expansion = _det_poly(rows)
+    expansion: dict = {}
+    for perm in itertools.permutations(range(n)):
+        sites = [i + 1 for i, j in enumerate(perm) if i == j]
+        pairs = [(min(i, j) + 1, max(i, j) + 1) for i, j in enumerate(perm) if i != j]
+        inversions = sum(p > q for p, q in itertools.combinations(perm, 2))
+        key = _monomial(pairs, sites)
+        expansion[key] = expansion.get(key, 0) + (-1) ** inversions * 2 ** len(sites)
     if n % 2 == 1:
-        for key, coeff in expansion.items():
-            if coeff % 2 != 0:
-                raise ConsistencyError("odd coefficient in halved expansion")
+        if any(coeff % 2 for coeff in expansion.values()):
+            raise ConsistencyError("odd coefficient in halved expansion")
         expansion = {k: v // 2 for k, v in expansion.items()}
-    return expansion
+    return {k: v for k, v in expansion.items() if v}
 
 
 def verify_condition_terms(n: int, terms=None) -> list[str]:
@@ -630,13 +577,12 @@ def verify_condition_terms(n: int, terms=None) -> list[str]:
         raise ValueError(f"no condition term list for n={n}")
     if terms is None:
         terms = CONDITION_TERMS[n]
-    pair_pos = _pair_index(n)
     expansion = _expand_scaled_minor(n)
 
     transcribed: dict = {}
     first_pos: dict = {}
     for pos, (coeff, pairs, sites) in enumerate(terms):
-        key = _term_key(n, pairs, sites, pair_pos)
+        key = _monomial(pairs, sites)
         transcribed[key] = transcribed.get(key, 0) + coeff
         first_pos.setdefault(key, pos)
 
@@ -645,13 +591,11 @@ def verify_condition_terms(n: int, terms=None) -> list[str]:
         expected = expansion.get(key, 0)
         if transcribed[key] != expected:
             problems.append(
-                f"term {first_pos[key] + 1} ({_format_monomial(n, key, pair_pos)}): "
+                f"term {first_pos[key] + 1} ({_format_monomial(key)}): "
                 f"transcribed coefficient {transcribed[key]}, expected {expected}"
             )
-    missing = sorted(set(expansion) - set(transcribed))
-    for key in missing:
+    for key in sorted(set(expansion) - set(transcribed)):
         problems.append(
-            f"missing term {_format_monomial(n, key, pair_pos)} "
-            f"with coefficient {expansion[key]}"
+            f"missing term {_format_monomial(key)} with coefficient {expansion[key]}"
         )
     return problems

@@ -122,7 +122,7 @@ def parse_model_dict(doc) -> OscillatorModel:
             ):
                 raise ParseError(f"couplings[{pos}] must be [i, j, D]")
             i, j, d = item
-            if i != int(i) or j != int(j):
+            if not all(isinstance(x, int) or x.is_integer() for x in (i, j)):
                 raise ParseError(f"couplings[{pos}]: indices must be integers")
             i, j = int(i), int(j)
             if i < 1 or j < 1:

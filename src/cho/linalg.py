@@ -109,24 +109,23 @@ class EigDecomposition:
     vectors: np.ndarray
 
 
-def _tie_sorted_order(values: np.ndarray) -> np.ndarray:
+def _tie_sorted_order(values: list) -> list:
     """Ascending order; near-degenerate runs keep original column order."""
-    order = np.argsort(values, kind="stable").tolist()
-    vals = values.tolist()
+    order = sorted(range(len(values)), key=values.__getitem__)
     out = []
     i = 0
     while i < len(order):
         j = i
         while j + 1 < len(order):
-            a = vals[order[j]]
-            b = vals[order[j + 1]]
+            a = values[order[j]]
+            b = values[order[j + 1]]
             if abs(b - a) <= _TIE_RTOL * (1.0 + abs(a)):
                 j += 1
             else:
                 break
         out.extend(sorted(order[i:j + 1]))
         i = j + 1
-    return np.array(out, dtype=int)
+    return out
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -168,38 +167,26 @@ def jacobi_eigh(s, tol: float = 1e-12, max_sweeps: int = 50) -> EigDecomposition
     times faster than indexing the array entry by entry.  Each operation
     is the same correctly rounded IEEE operation on the same operands in
     the same order, so values and vectors are bit-identical to running
-    the loop on the array.  The stop test still runs on an array rebuilt
-    once per sweep, so the sweep count is unchanged too.  Every division
-    has a divisor that is nonzero or at least 1, and no power operator is
-    used, so Python's float arithmetic never raises where numpy's would
-    return inf or nan.
+    the loop on the array.  The stop test takes both norms of the same
+    lists with ``math.hypot``, which scales instead of squaring, so no
+    entry in the float range makes it overflow.  Every division has a
+    divisor that is nonzero or at least 1, and no power operator is used,
+    so Python's float arithmetic never raises where numpy's would return
+    inf or nan.
     """
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
-    m = _as_sym(s).mat
-    n = m.shape[0]
-    a = m.tolist()
+    a = _as_sym(s).mat.tolist()
+    n = len(a)
     v = np.eye(n).tolist()
-    idx = np.arange(n)
-    lower = idx[:, None] > idx
 
-    def offdiag(m):
-        # np.where on this mask is np.tril(m, -1), with the mask built once
-        return np.sqrt(np.sum(np.where(lower, m, 0.0) ** 2) * 2.0)
-
-    def threshold(m):
-        d = np.diagonal(m)
-        with np.errstate(over="ignore"):
-            norm = np.sqrt(np.sum(d ** 2))
-        if norm == np.inf:  # a square overflowed; scale by the largest entry
-            big = np.max(np.abs(d))
-            norm = big * np.sqrt(np.sum((d / big) ** 2))
-        return tol * (1.0 + norm)
+    def offdiag():
+        return math.sqrt(2.0) * math.hypot(*[x for i, row in enumerate(a) for x in row[:i]])
 
     sweeps = 0
-    while offdiag(m) > threshold(m):
+    while offdiag() > tol * (1.0 + math.hypot(*[a[i][i] for i in range(n)])):
         if sweeps >= max_sweeps:
-            raise NonConvergence(sweeps, offdiag(m))
+            raise NonConvergence(sweeps, offdiag())
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p][q]
@@ -232,12 +219,11 @@ def jacobi_eigh(s, tol: float = 1e-12, max_sweeps: int = 50) -> EigDecomposition
                     row[p] = c * x - sn * y
                     row[q] = c * y + sn * x
         sweeps += 1
-        m = np.array(a)
 
-    values = np.diagonal(m).copy()
-    order = _tie_sorted_order(values)
-    values = values[order]
-    vectors = _fix_signs(np.array(v)[:, order].copy())
+    diag = [a[i][i] for i in range(n)]
+    order = _tie_sorted_order(diag)
+    values = np.array([diag[i] for i in order])
+    vectors = _fix_signs(np.array(v)[:, order])
     values.setflags(write=False)
     vectors.setflags(write=False)
     return EigDecomposition(values=values, vectors=vectors)

@@ -2,7 +2,9 @@
 conditions for n = 2..5, and the cubic-coefficient route."""
 
 import decimal
+import itertools
 import math
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -26,7 +28,13 @@ from cho import (
     necessary_coefficient_conditions,
     verify_condition_terms,
 )
-from cho.boundstate import CONDITION_TERMS, _condition_value, _minor_scale
+from cho.boundstate import (
+    CONDITION_TERMS,
+    _condition_num,
+    _condition_value,
+    _expand_scaled_minor,
+    _minor_scale,
+)
 from cho.errors import WrongDimension
 from cho.linalg import SymMatrix, leading_principal_minors
 from cho.model import build_T, build_V
@@ -407,6 +415,43 @@ def test_n3_condition_factorizes_when_third_site_detaches():
 
 
 # --- transcription self-check ---------------------------------------------------
+
+
+def _fraction_det(w):
+    """Determinant by Gaussian elimination on Fractions, exact."""
+    w = [[Fraction(x) for x in row] for row in w]
+    det = Fraction(1)
+    for c in range(len(w)):
+        piv = next((r for r in range(c, len(w)) if w[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            w[c], w[piv] = w[piv], w[c]
+            det = -det
+        det *= w[c][c]
+        for r in range(c + 1, len(w)):
+            f = w[r][c] / w[c][c]
+            w[r] = [x - f * y for x, y in zip(w[r], w[c])]
+    return det
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_expansion_equals_exact_determinant(n):
+    # the expansion, and the literal list it verifies, evaluated at integer
+    # points against det(W), W_ii = 2 k_i and W_ij = D_ij, halved for odd n
+    rng = random.Random(n)
+    expansion = _expand_scaled_minor(n)
+    for _ in range(40):
+        k = [rng.randint(-6, 6) for _ in range(n)]
+        d = {pair: rng.randint(-6, 6) for pair in itertools.combinations(range(n), 2)}
+        w = [[2 * k[i] if i == j else d[min(i, j), max(i, j)] for j in range(n)]
+             for i in range(n)]
+        expected = _fraction_det(w) / (2 if n % 2 else 1)
+        value = {f"k{i + 1}": x for i, x in enumerate(k)}
+        value.update({f"D{i + 1}{j + 1}": x for (i, j), x in d.items()})
+        got = sum(c * math.prod(value[f] for f in key) for key, c in expansion.items())
+        assert got == expected
+        assert _condition_num(n, k, d) == expected
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -127,6 +127,16 @@ def test_parse_malformed_coupling_triplet():
         )
 
 
+@pytest.mark.parametrize("index", ["1e400", "NaN"])
+def test_parse_nonfinite_coupling_index_exits_3(tmp_path, capsys, index):
+    # json reads 1e400 as inf and NaN as nan, neither of which int() converts
+    path = tmp_path / "model.json"
+    path.write_text('{"masses": [1, 1], "omegas": [1, 1], '
+                    f'"couplings": [[{index}, 2, 0.5]]}}')
+    assert main(["check", str(path)]) == 3
+    assert capsys.readouterr().err == "error: couplings[0]: indices must be integers\n"
+
+
 def test_parse_kinetic_matrix():
     m = parse_model_dict(
         {

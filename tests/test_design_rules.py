@@ -1,8 +1,10 @@
 """Design rules: numpy.linalg is the test oracle and stays out of the package,
-and every function the benchmark's tracer wraps exists."""
+the package imports only the standard library and numpy, and every function
+the benchmark's tracer wraps exists."""
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -64,6 +66,32 @@ def test_every_form_of_reference_is_found(source):
 ])
 def test_package_linalg_and_prose_are_not_references(source):
     assert numpy_linalg_references(source) == []
+
+
+def imported_top_modules(source: str) -> set[str]:
+    """Top-level names of the absolute imports in a module's source."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_imports_only_stdlib_and_numpy(path):
+    # CI installs numpy, pytest and hypothesis only; sympy or scipy would pass
+    # on a machine that has them and fail there
+    allowed = set(sys.stdlib_module_names) | {"numpy", "cho"}
+    assert imported_top_modules(path.read_text(encoding="utf-8")) - allowed == set()
+
+
+def test_import_scan_sees_every_form():
+    source = ("import sympy\nimport scipy.linalg as sl\nfrom mpmath import mpf\n"
+              "from . import linalg\nfrom .errors import ParseError\n"
+              "def f():\n    import networkx\n")
+    assert imported_top_modules(source) == {"sympy", "scipy", "mpmath", "networkx"}
 
 
 def traced_names(source: str) -> list[tuple[str, str]]:

@@ -271,6 +271,19 @@ def test_jacobi_overflowing_entries_match_without_raising():
         assert np.array_equal(eig.vectors, vectors, equal_nan=True)
 
 
+@pytest.mark.parametrize("n, scale", [(2, 1e300), (3, 1e250), (8, 1e200), (16, 1e160)])
+def test_jacobi_extreme_scale_without_warning(n, scale):
+    # the stop test's norms must not overflow for entries near the float limit
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        m = _sym(rng.normal(size=(n, n))) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eig = jacobi_eigh(SymMatrix(m))
+        expect = np.linalg.eigvalsh(m)
+        assert np.max(np.abs(eig.values - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
 def test_jacobi_results_frozen():
     eig = jacobi_eigh(SymMatrix(np.eye(2)))
     with pytest.raises(ValueError):
