@@ -5,9 +5,10 @@ S = T^(1/2) V T^(1/2) is positive definite, which by Sylvester's
 criterion is equivalent to all leading principal minors of S being
 positive.  For n <= 5 with diagonal kinetic matrices the same
 conditions are integer polynomials in the stiffness constants
-k_i = m_i w_i^2 and the couplings D_ij, kept as literal term lists that
-verify_condition_terms checks against an exact expansion.  Every closed
-form runs on the exact integer values of the floats and is rounded once.
+k_i = m_i w_i^2 and the couplings D_ij.  Their term lists are derived at
+import from the exact Leibniz expansion of the scaled minor, which the
+tests check against an exact determinant.  Every closed form runs on the
+exact integer values of the floats and is rounded once.
 """
 
 from __future__ import annotations
@@ -54,122 +55,87 @@ MARGINAL = "Marginal"
 _MARGIN_SCALE = 1e-10
 
 # ---------------------------------------------------------------------------
-# Polynomial conditions as literal term lists.
-#
-# Each term is (coefficient, D-factors, stiffness-factors): D-factors is a
-# tuple of 1-based (i, j) pairs, repeated for powers, and stiffness-factors
-# is a tuple of 1-based site indices contributing one k_i = m_i w_i^2 each.
-# The condition for size k equals 4^floor(k/2) * m_1...m_k * minor_k(S);
-# verify_condition_terms() re-derives every list from that identity.
+# the polynomial conditions, expanded exactly
 # ---------------------------------------------------------------------------
+# A monomial is the sorted tuple of its factor names, ("D12", "D12", "k3")
+# for D12^2 k3, so equal products get equal keys and print in order.
 
+
+def _monomial(pairs, sites) -> tuple:
+    return tuple(sorted([f"D{i}{j}" for i, j in pairs] + [f"k{i}" for i in sites]))
+
+
+def _format_monomial(key: tuple) -> str:
+    powers = Counter(key)
+    return "*".join(f + (f"^{e}" if e > 1 else "") for f, e in powers.items()) or "1"
+
+
+def _expand_scaled_minor(n: int) -> dict:
+    """Exact expansion of 4^floor(n/2) * m_1..m_n * minor_n(S).
+
+    Equals det(W) with W_ii = 2 k_i and W_ij = D_ij, halved for odd n,
+    summed by the Leibniz formula over the n! permutations.
+    """
+    expansion: dict = {}
+    for perm in itertools.permutations(range(n)):
+        sites = [i + 1 for i, j in enumerate(perm) if i == j]
+        pairs = [(min(i, j) + 1, max(i, j) + 1) for i, j in enumerate(perm) if i != j]
+        inversions = sum(p > q for p, q in itertools.combinations(perm, 2))
+        key = _monomial(pairs, sites)
+        expansion[key] = expansion.get(key, 0) + (-1) ** inversions * 2 ** len(sites)
+    if n % 2 == 1:
+        if any(coeff % 2 for coeff in expansion.values()):
+            raise ConsistencyError("odd coefficient in halved expansion")
+        expansion = {k: v // 2 for k, v in expansion.items()}
+    return {k: v for k, v in expansion.items() if v}
+
+
+# Each term of CONDITION_TERMS[k] is (coefficient, D-factors, stiffness-factors):
+# D-factors is a sorted tuple of 1-based (i, j) pairs, repeated for powers,
+# and stiffness-factors a sorted tuple of 1-based sites contributing one
+# k_i = m_i w_i^2 each.  The sum equals 4^floor(k/2) * m_1..m_k * minor_k(S).
+# Factor names carry one digit per index, which holds for k <= 5.
 CONDITION_TERMS = {
-    2: (
-        (4, (), (1, 2)),
-        (-1, ((1, 2), (1, 2)), ()),
-    ),
-    3: (
-        (4, (), (1, 2, 3)),
-        (1, ((1, 2), (1, 3), (2, 3)), ()),
-        (-1, ((2, 3), (2, 3)), (1,)),
-        (-1, ((1, 3), (1, 3)), (2,)),
-        (-1, ((1, 2), (1, 2)), (3,)),
-    ),
-    4: (
-        (1, ((1, 2), (1, 2), (3, 4), (3, 4)), ()),
-        (-4, ((1, 2), (1, 2)), (3, 4)),
-        (4, ((1, 2), (1, 3), (2, 3)), (4,)),
-        (-2, ((1, 2), (1, 3), (2, 4), (3, 4)), ()),
-        (-2, ((1, 2), (1, 4), (2, 3), (3, 4)), ()),
-        (4, ((1, 2), (1, 4), (2, 4)), (3,)),
-        (1, ((1, 3), (1, 3), (2, 4), (2, 4)), ()),
-        (-4, ((1, 3), (1, 3)), (2, 4)),
-        (-2, ((1, 3), (1, 4), (2, 3), (2, 4)), ()),
-        (4, ((1, 3), (1, 4), (3, 4)), (2,)),
-        (1, ((1, 4), (1, 4), (2, 3), (2, 3)), ()),
-        (-4, ((1, 4), (1, 4)), (2, 3)),
-        (-4, ((2, 3), (2, 3)), (1, 4)),
-        (4, ((2, 3), (2, 4), (3, 4)), (1,)),
-        (-4, ((2, 4), (2, 4)), (1, 3)),
-        (-4, ((3, 4), (3, 4)), (1, 2)),
-        (16, (), (1, 2, 3, 4)),
-    ),
-    5: (
-        (1, ((1, 2), (1, 2), (3, 4), (3, 4)), (5,)),
-        (-1, ((1, 2), (1, 2), (3, 4), (3, 5), (4, 5)), ()),
-        (1, ((1, 2), (1, 2), (3, 5), (3, 5)), (4,)),
-        (1, ((1, 2), (1, 2), (4, 5), (4, 5)), (3,)),
-        (-4, ((1, 2), (1, 2)), (3, 4, 5)),
-        (-1, ((1, 2), (1, 3), (2, 3), (4, 5), (4, 5)), ()),
-        (4, ((1, 2), (1, 3), (2, 3)), (4, 5)),
-        (-2, ((1, 2), (1, 3), (2, 4), (3, 4)), (5,)),
-        (1, ((1, 2), (1, 3), (2, 4), (3, 5), (4, 5)), ()),
-        (1, ((1, 2), (1, 3), (2, 5), (3, 4), (4, 5)), ()),
-        (-2, ((1, 2), (1, 3), (2, 5), (3, 5)), (4,)),
-        (-2, ((1, 2), (1, 4), (2, 3), (3, 4)), (5,)),
-        (1, ((1, 2), (1, 4), (2, 3), (3, 5), (4, 5)), ()),
-        (-1, ((1, 2), (1, 4), (2, 4), (3, 5), (3, 5)), ()),
-        (4, ((1, 2), (1, 4), (2, 4)), (3, 5)),
-        (1, ((1, 2), (1, 4), (2, 5), (3, 4), (3, 5)), ()),
-        (-2, ((1, 2), (1, 4), (2, 5), (4, 5)), (3,)),
-        (1, ((1, 2), (1, 5), (2, 3), (3, 4), (4, 5)), ()),
-        (-2, ((1, 2), (1, 5), (2, 3), (3, 5)), (4,)),
-        (1, ((1, 2), (1, 5), (2, 4), (3, 4), (3, 5)), ()),
-        (-2, ((1, 2), (1, 5), (2, 4), (4, 5)), (3,)),
-        (-1, ((1, 2), (1, 5), (2, 5), (3, 4), (3, 4)), ()),
-        (4, ((1, 2), (1, 5), (2, 5)), (3, 4)),
-        (1, ((1, 3), (1, 3), (2, 4), (2, 4)), (5,)),
-        (-1, ((1, 3), (1, 3), (2, 4), (2, 5), (4, 5)), ()),
-        (1, ((1, 3), (1, 3), (2, 5), (2, 5)), (4,)),
-        (1, ((1, 3), (1, 3), (4, 5), (4, 5)), (2,)),
-        (-4, ((1, 3), (1, 3)), (2, 4, 5)),
-        (-2, ((1, 3), (1, 4), (2, 3), (2, 4)), (5,)),
-        (1, ((1, 3), (1, 4), (2, 3), (2, 5), (4, 5)), ()),
-        (1, ((1, 3), (1, 4), (2, 4), (2, 5), (3, 5)), ()),
-        (-1, ((1, 3), (1, 4), (2, 5), (2, 5), (3, 4)), ()),
-        (4, ((1, 3), (1, 4), (3, 4)), (2, 5)),
-        (-2, ((1, 3), (1, 4), (3, 5), (4, 5)), (2,)),
-        (1, ((1, 3), (1, 5), (2, 3), (2, 4), (4, 5)), ()),
-        (-2, ((1, 3), (1, 5), (2, 3), (2, 5)), (4,)),
-        (-1, ((1, 3), (1, 5), (2, 4), (2, 4), (3, 5)), ()),
-        (1, ((1, 3), (1, 5), (2, 4), (2, 5), (3, 4)), ()),
-        (-2, ((1, 3), (1, 5), (3, 4), (4, 5)), (2,)),
-        (4, ((1, 3), (1, 5), (3, 5)), (2, 4)),
-        (1, ((1, 4), (1, 4), (2, 3), (2, 3)), (5,)),
-        (-1, ((1, 4), (1, 4), (2, 3), (2, 5), (3, 5)), ()),
-        (1, ((1, 4), (1, 4), (2, 5), (2, 5)), (3,)),
-        (1, ((1, 4), (1, 4), (3, 5), (3, 5)), (2,)),
-        (-4, ((1, 4), (1, 4)), (2, 3, 5)),
-        (-1, ((1, 4), (1, 5), (2, 3), (2, 3), (4, 5)), ()),
-        (1, ((1, 4), (1, 5), (2, 3), (2, 4), (3, 5)), ()),
-        (1, ((1, 4), (1, 5), (2, 3), (2, 5), (3, 4)), ()),
-        (-2, ((1, 4), (1, 5), (2, 4), (2, 5)), (3,)),
-        (-2, ((1, 4), (1, 5), (3, 4), (3, 5)), (2,)),
-        (4, ((1, 4), (1, 5), (4, 5)), (2, 3)),
-        (1, ((1, 5), (1, 5), (2, 3), (2, 3)), (4,)),
-        (-1, ((1, 5), (1, 5), (2, 3), (2, 4), (3, 4)), ()),
-        (1, ((1, 5), (1, 5), (2, 4), (2, 4)), (3,)),
-        (1, ((1, 5), (1, 5), (3, 4), (3, 4)), (2,)),
-        (-4, ((1, 5), (1, 5)), (2, 3, 4)),
-        (1, ((2, 3), (2, 3), (4, 5), (4, 5)), (1,)),
-        (-4, ((2, 3), (2, 3)), (1, 4, 5)),
-        (4, ((2, 3), (2, 4), (3, 4)), (1, 5)),
-        (-2, ((2, 3), (2, 4), (3, 5), (4, 5)), (1,)),
-        (-2, ((2, 3), (2, 5), (3, 4), (4, 5)), (1,)),
-        (4, ((2, 3), (2, 5), (3, 5)), (1, 4)),
-        (1, ((2, 4), (2, 4), (3, 5), (3, 5)), (1,)),
-        (-4, ((2, 4), (2, 4)), (1, 3, 5)),
-        (-2, ((2, 4), (2, 5), (3, 4), (3, 5)), (1,)),
-        (4, ((2, 4), (2, 5), (4, 5)), (1, 3)),
-        (1, ((2, 5), (2, 5), (3, 4), (3, 4)), (1,)),
-        (-4, ((2, 5), (2, 5)), (1, 3, 4)),
-        (-4, ((3, 4), (3, 4)), (1, 2, 5)),
-        (4, ((3, 4), (3, 5), (4, 5)), (1, 2)),
-        (-4, ((3, 5), (3, 5)), (1, 2, 4)),
-        (-4, ((4, 5), (4, 5)), (1, 2, 3)),
-        (16, (), (1, 2, 3, 4, 5)),
-    ),
+    k: tuple((coeff, tuple((int(f[1]), int(f[2])) for f in key if f[0] == "D"),
+              tuple(int(f[1]) for f in key if f[0] == "k"))
+             for key, coeff in _expand_scaled_minor(k).items())
+    for k in range(2, 6)
 }
+
+
+def verify_condition_terms(n: int, terms=None) -> list[str]:
+    """Check a condition term list against the exact scaled-minor expansion.
+
+    Returns a list of human-readable mismatch descriptions, ordered so the
+    first entry points at the first offending term; an empty list means
+    the transcription is exact.
+    """
+    if n not in CONDITION_TERMS:
+        raise ValueError(f"no condition term list for n={n}")
+    if terms is None:
+        terms = CONDITION_TERMS[n]
+    expansion = _expand_scaled_minor(n)
+
+    transcribed: dict = {}
+    first_pos: dict = {}
+    for pos, (coeff, pairs, sites) in enumerate(terms):
+        key = _monomial(pairs, sites)
+        transcribed[key] = transcribed.get(key, 0) + coeff
+        first_pos.setdefault(key, pos)
+
+    problems = []
+    for key in sorted(transcribed, key=first_pos.get):
+        expected = expansion.get(key, 0)
+        if transcribed[key] != expected:
+            problems.append(
+                f"term {first_pos[key] + 1} ({_format_monomial(key)}): "
+                f"transcribed coefficient {transcribed[key]}, expected {expected}"
+            )
+    for key in sorted(set(expansion) - set(transcribed)):
+        problems.append(
+            f"missing term {_format_monomial(key)} with coefficient {expansion[key]}"
+        )
+    return problems
 
 
 def _require_n(model: OscillatorModel, n: int) -> None:
@@ -529,73 +495,3 @@ def _closed_form_checks(model, s, minors, eig, verdict):
             ))
     return checks, discriminant
 
-
-# ---------------------------------------------------------------------------
-# exact verification of the term lists
-# ---------------------------------------------------------------------------
-# A monomial is the sorted tuple of its factor names, ("D12", "D12", "k3")
-# for D12^2 k3, so equal products get equal keys and print in order.
-
-
-def _monomial(pairs, sites) -> tuple:
-    return tuple(sorted([f"D{i}{j}" for i, j in pairs] + [f"k{i}" for i in sites]))
-
-
-def _format_monomial(key: tuple) -> str:
-    powers = Counter(key)
-    return "*".join(f + (f"^{e}" if e > 1 else "") for f, e in powers.items()) or "1"
-
-
-def _expand_scaled_minor(n: int) -> dict:
-    """Exact expansion of 4^floor(n/2) * m_1..m_n * minor_n(S).
-
-    Equals det(W) with W_ii = 2 k_i and W_ij = D_ij, halved for odd n,
-    summed by the Leibniz formula over the n! permutations.
-    """
-    expansion: dict = {}
-    for perm in itertools.permutations(range(n)):
-        sites = [i + 1 for i, j in enumerate(perm) if i == j]
-        pairs = [(min(i, j) + 1, max(i, j) + 1) for i, j in enumerate(perm) if i != j]
-        inversions = sum(p > q for p, q in itertools.combinations(perm, 2))
-        key = _monomial(pairs, sites)
-        expansion[key] = expansion.get(key, 0) + (-1) ** inversions * 2 ** len(sites)
-    if n % 2 == 1:
-        if any(coeff % 2 for coeff in expansion.values()):
-            raise ConsistencyError("odd coefficient in halved expansion")
-        expansion = {k: v // 2 for k, v in expansion.items()}
-    return {k: v for k, v in expansion.items() if v}
-
-
-def verify_condition_terms(n: int, terms=None) -> list[str]:
-    """Check a condition term list against the exact scaled-minor expansion.
-
-    Returns a list of human-readable mismatch descriptions, ordered so the
-    first entry points at the first offending term; an empty list means
-    the transcription is exact.
-    """
-    if n not in CONDITION_TERMS:
-        raise ValueError(f"no condition term list for n={n}")
-    if terms is None:
-        terms = CONDITION_TERMS[n]
-    expansion = _expand_scaled_minor(n)
-
-    transcribed: dict = {}
-    first_pos: dict = {}
-    for pos, (coeff, pairs, sites) in enumerate(terms):
-        key = _monomial(pairs, sites)
-        transcribed[key] = transcribed.get(key, 0) + coeff
-        first_pos.setdefault(key, pos)
-
-    problems = []
-    for key in sorted(transcribed, key=first_pos.get):
-        expected = expansion.get(key, 0)
-        if transcribed[key] != expected:
-            problems.append(
-                f"term {first_pos[key] + 1} ({_format_monomial(key)}): "
-                f"transcribed coefficient {transcribed[key]}, expected {expected}"
-            )
-    for key in sorted(set(expansion) - set(transcribed)):
-        problems.append(
-            f"missing term {_format_monomial(key)} with coefficient {expansion[key]}"
-        )
-    return problems

@@ -92,6 +92,11 @@ def parse_model_dict(doc) -> OscillatorModel:
             violations.append('"omegas" must match "masses" in length')
         else:
             stiffness = [m * w * w for m, w in zip(masses, omegas)]
+            for i, (m, w) in enumerate(zip(masses, omegas)):
+                if not math.isfinite(stiffness[i]):  # named here, not as stiffness_diag
+                    stiffness[i] = 0.0
+                    if math.isfinite(m):
+                        violations.append(f"omegas[{i}] = {w:.3g}: m*w^2 must be finite")
     elif "stiffness_diag" in doc:
         stiffness = _number_list(doc["stiffness_diag"], "stiffness_diag")
         if len(stiffness) != n:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, ValidationError
+from .errors import ConsistencyError, NotPositiveDefinite, ValidationError
 from .linalg import EigDecomposition, SymMatrix, frozen, jacobi_eigh, max_abs, spd_sqrt
 from .model import OscillatorModel, build_T, build_V
 
@@ -88,12 +88,16 @@ class Analysis:
 def analyse(model: OscillatorModel, tol: float = 1e-12) -> Analysis:
     """Compute each matrix of an Analysis of a (valid) model once.
 
-    Raises ValidationError when S overflows or when max|S|^n does, since
-    the dead zone of the n-th leading minor (boundstate) cannot be
-    represented then.
+    Raises NotPositiveDefinite naming the kinetic matrix when T is not
+    positive definite, and ValidationError when S overflows or when
+    max|S|^n does, since the dead zone of the n-th leading minor
+    (boundstate) cannot be represented then.
     """
     t, v = build_T(model), build_V(model)
-    root = spd_sqrt(t).mat
+    try:
+        root = spd_sqrt(t).mat
+    except NotPositiveDefinite as exc:
+        raise NotPositiveDefinite(exc.min_eigenvalue, "kinetic matrix T") from None
     s = _sandwich(root, v.mat)
     smax = max_abs(s.mat)
     try:

@@ -78,7 +78,9 @@ class OscillatorModel:
         omegas = np.atleast_1d(np.asarray(omegas, dtype=float))
         if masses.shape != omegas.shape:
             raise ValueError("masses and omegas must have the same length")
-        return cls(masses, masses * omegas**2, couplings or {}, hbar)
+        with np.errstate(all="ignore"):  # validate names an overflow
+            stiffness = masses * omegas**2
+        return cls(masses, stiffness, couplings or {}, hbar)
 
     @classmethod
     def two_coupled(cls, m1: float, m2: float, c1: float, c2: float, c3: float,

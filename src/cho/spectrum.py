@@ -35,14 +35,9 @@ def _mode_frequencies(dec: ModeDecomposition) -> np.ndarray:
     return np.sqrt(lam)
 
 
-def _energy(freqs, hbar: float, occ: tuple[int, ...]) -> float:
-    return hbar * math.fsum(f * (n + 0.5) for f, n in zip(freqs, occ))
-
-
 def ground_state_energy(dec: ModeDecomposition, hbar: float = 1.0) -> float:
-    """Zero-point energy (hbar/2) * sum_i sqrt(lambda_i)."""
-    freqs = _mode_frequencies(dec)
-    return _energy(freqs, hbar, (0,) * len(freqs))
+    """Zero-point energy (hbar/2) * sum_i sqrt(lambda_i), the lowest level."""
+    return lowest_levels(dec, hbar, 1)[0].energy
 
 
 def lowest_levels(dec: ModeDecomposition, hbar: float = 1.0,

@@ -5,6 +5,7 @@ import decimal
 import itertools
 import math
 import random
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
@@ -452,6 +453,31 @@ def test_expansion_equals_exact_determinant(n):
         got = sum(c * math.prod(value[f] for f in key) for key, c in expansion.items())
         assert got == expected
         assert _condition_num(n, k, d) == expected
+
+
+# the paper's conditions as it writes them, in (coefficient, pairs, sites) form
+PAPER_PAIR_CONDITION = (  # 4 k1 k2 - D12^2
+    (4, (), (1, 2)),
+    (-1, ((1, 2), (1, 2)), ()),
+)
+PAPER_TRIPLE_CONDITION = (  # 4 k1 k2 k3 + D12 D13 D23 - k1 D23^2 - k2 D13^2 - k3 D12^2
+    (4, (), (1, 2, 3)),
+    (1, ((1, 2), (1, 3), (2, 3)), ()),
+    (-1, ((2, 3), (2, 3)), (1,)),
+    (-1, ((1, 3), (1, 3)), (2,)),
+    (-1, ((1, 2), (1, 2)), (3,)),
+)
+
+
+@pytest.mark.parametrize("n,paper", [(2, PAPER_PAIR_CONDITION), (3, PAPER_TRIPLE_CONDITION)],
+                         ids=["pair", "triple"])
+def test_condition_terms_are_the_papers_formulas(n, paper):
+    assert Counter(CONDITION_TERMS[n]) == Counter(paper)
+    assert verify_condition_terms(n, paper) == []
+
+
+def test_condition_term_counts():
+    assert {n: len(terms) for n, terms in CONDITION_TERMS.items()} == {2: 2, 3: 5, 4: 17, 5: 73}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])

@@ -154,6 +154,15 @@ def test_parse_omegas_length_mismatch():
         parse_model_dict({"masses": [1, 1], "omegas": [1.0]})
 
 
+@pytest.mark.filterwarnings("error")
+def test_parse_names_omega_whose_stiffness_overflows(tmp_path, capsys):
+    path = write_model(tmp_path, {"masses": [1, 1], "omegas": [1e200, 1]})
+    assert main(["check", path]) == 3
+    assert capsys.readouterr().err == (
+        "error: invalid model: omegas[0] = 1e+200: m*w^2 must be finite\n"
+    )
+
+
 def test_parse_lists_file_violations_before_model_violations(tmp_path, capsys):
     path = write_model(tmp_path, {"masses": [0, 1, 1], "omegas": [1, 1],
                                   "couplings": [[1, 1, 2.0], [0, 2, 1.0]], "hbar": -1})
@@ -595,6 +604,21 @@ def test_mass_with_overflowing_reciprocal_exits_3_naming_it(tmp_path, capsys, co
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: invalid model: masses[0] = 1e-320 is too small: 1/m overflows\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command,extra", [
+    ("analyze", []), ("check", []), ("sweep", SWEEP_ARGS),
+], ids=["analyze", "check", "sweep"])
+def test_kinetic_not_positive_definite_exits_3_naming_it(tmp_path, capsys, command, extra):
+    path = write_model(tmp_path, {"masses": [1, 1], "stiffness_diag": [1, 1],
+                                  "kinetic": [[1, 2], [2, 1]]})
+    assert main([command, path, *extra]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error: ") and "kinetic" in lines[0]
 
 
 @pytest.mark.parametrize("m_ref", ["1e-20", "1e300"])

@@ -1,9 +1,11 @@
 """Design rules: numpy.linalg is the test oracle and stays out of the package,
-the package imports only the standard library and numpy, and every function
-the benchmark's tracer wraps exists."""
+the package imports only the standard library and numpy, every function the
+benchmark's tracer wraps exists, and pyproject.toml names the entry point and
+the one third-party dependency.  tests/test_cli.py runs ``python -m cho``."""
 
 import ast
 import importlib
+import re
 import sys
 from pathlib import Path
 
@@ -110,3 +112,28 @@ def test_every_traced_function_exists():
     missing = [f"{module}.{name}" for module, name in pairs
                if not callable(getattr(importlib.import_module(f"cho.{module}"), name, None))]
     assert missing == []
+
+
+# --- packaging -------------------------------------------------------------------
+
+
+def project_table() -> dict:
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        return tomllib.load(fh)["project"]
+
+
+def test_console_script_resolves_to_cli_main():
+    module, _, attr = project_table()["scripts"]["cho"].partition(":")
+    target = getattr(importlib.import_module(module), attr)
+    assert callable(target) and f"{target.__module__}.{target.__name__}" == "cho.cli.main"
+
+
+def test_dependencies_name_every_third_party_import():
+    third_party = set().union(*(imported_top_modules(p.read_text(encoding="utf-8"))
+                                for p in PACKAGE.glob("*.py")))
+    third_party -= set(sys.stdlib_module_names) | {"cho"}
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group()
+                for dep in project_table()["dependencies"]}
+    assert third_party == {"numpy"} and third_party <= declared
+

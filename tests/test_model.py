@@ -34,6 +34,13 @@ def test_from_frequencies_stiffness():
     assert np.allclose(m.omega_squared(), [4.0, 0.25])
 
 
+@pytest.mark.filterwarnings("error")
+def test_from_frequencies_overflow_raises_without_warning():
+    # m * w**2 = 1e400 is past the float range; validate names it, numpy is quiet
+    with pytest.raises(ValidationError, match="stiffness_diag entries must be finite"):
+        OscillatorModel.from_frequencies([1.0, 1.0], [1e200, 1.0])
+
+
 def test_coupling_keys_canonicalized():
     m = OscillatorModel(
         masses=[1.0, 1.0, 1.0],

@@ -166,3 +166,15 @@ def test_walk_matches_reference_at_max_levels():
     got = lowest_levels(modes_with(lambdas), 1.0, MAX_LEVELS)
     want = reference_lowest_levels(lambdas, 1.0, MAX_LEVELS)
     assert [(lv.occupations, lv.energy) for lv in got] == want
+
+
+@pytest.mark.filterwarnings("error")
+def test_ground_state_energy_is_the_zero_point_sum():
+    # the lowest level of the walk is hbar * fsum(f_i / 2), correctly rounded
+    rng = np.random.default_rng(77)
+    for _ in range(400):
+        n = int(rng.integers(1, 17))
+        lambdas = 10.0 ** rng.uniform(-300, 300, n)
+        hbar = float(10.0 ** rng.uniform(-40, 40))
+        want = hbar * math.fsum(float(f) * 0.5 for f in np.sqrt(lambdas))
+        assert ground_state_energy(modes_with(lambdas), hbar) == want
