@@ -27,7 +27,6 @@ from .boundstate import (
 )
 from .cli import (
     AnalysisReport,
-    AnalysisRequest,
     main,
     parse_model_file,
     run_analysis,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport",
-    "AnalysisRequest",
     "BOUND",
     "BoundStateReport",
     "ChoError",

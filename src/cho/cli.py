@@ -36,7 +36,6 @@ from .model import OscillatorModel
 from .spectrum import EnergyLevel, ground_state_energy, lowest_levels
 
 __all__ = [
-    "AnalysisRequest",
     "AnalysisReport",
     "parse_model_file",
     "parse_model_dict",
@@ -91,7 +90,7 @@ def parse_model_dict(doc) -> OscillatorModel:
         if len(omegas) != n:
             violations.append('"omegas" must match "masses" in length')
         else:
-            stiffness = [m * w * w for m, w in zip(masses, omegas)]
+            stiffness = [m * (w * w) for m, w in zip(masses, omegas)]  # as from_frequencies
             for i, (m, w) in enumerate(zip(masses, omegas)):
                 if not math.isfinite(stiffness[i]):  # named here, not as stiffness_diag
                     stiffness[i] = 0.0
@@ -130,10 +129,11 @@ def parse_model_dict(doc) -> OscillatorModel:
             if not all(isinstance(x, int) or x.is_integer() for x in (i, j)):
                 raise ParseError(f"couplings[{pos}]: indices must be integers")
             i, j = int(i), int(j)
-            if i < 1 or j < 1:
-                violations.append(
-                    f"couplings[{pos}]: indices are 1-based, got ({i}, {j})"
-                )
+            problem = ("indices are 1-based" if min(i, j) < 1
+                       else f"indices must be <= n={n}" if max(i, j) > n
+                       else "self-coupling forbidden" if i == j else None)
+            if problem:
+                violations.append(f"couplings[{pos}]: {problem}, got ({i}, {j})")
                 continue
             pair = (min(i, j) - 1, max(i, j) - 1)
             if pair in couplings:
@@ -200,28 +200,6 @@ def parse_model_file(path: str) -> OscillatorModel:
 
 
 @dataclass(frozen=True)
-class AnalysisRequest:
-    model: OscillatorModel
-    levels: int = 10
-    mass_norm: str | float = "none"
-    output_format: str = "text"
-    tolerance_override: float | None = None
-
-    def __post_init__(self):
-        if self.levels < 0:
-            raise ValueError("levels must be >= 0")
-        if isinstance(self.mass_norm, str):
-            if self.mass_norm not in ("none", "geometric"):
-                raise ValueError('mass_norm must be "none", "geometric" or a number')
-        elif not self.mass_norm > 0.0:
-            raise ValueError("explicit reference mass must be > 0")
-        if self.output_format not in ("text", "json"):
-            raise ValueError('output_format must be "text" or "json"')
-        if self.tolerance_override is not None and not self.tolerance_override > 0.0:
-            raise ValueError("tolerance override must be > 0")
-
-
-@dataclass(frozen=True)
 class AnalysisReport:
     model: OscillatorModel
     t: np.ndarray
@@ -235,36 +213,35 @@ class AnalysisReport:
     levels: list[EnergyLevel] | None
     warnings: tuple[str, ...]
 
-    @property
-    def verdict(self) -> str:
-        return self.bound.verdict
 
-    @property
-    def exit_code(self) -> int:
-        return _EXIT_BY_VERDICT[self.bound.verdict]
-
-
-def run_analysis(req: AnalysisRequest) -> AnalysisReport:
+def run_analysis(model: OscillatorModel, levels: int = 10,
+                 mass_norm: str | float = "none") -> AnalysisReport:
     """Model -> modes -> verdict -> (spectrum if bound), without panicking
-    on unbound systems."""
-    model = req.model
-    tol = req.tolerance_override if req.tolerance_override is not None else 1e-12
-    an = analyse(model, tol)
+    on unbound systems.
+
+    ``mass_norm`` is "none", "geometric" or an explicit reference mass,
+    which ``mass_normalize`` checks.
+    """
+    if levels < 0:
+        raise ValueError("levels must be >= 0")
+    if isinstance(mass_norm, str) and mass_norm not in ("none", "geometric"):
+        raise ValueError('mass_norm must be "none", "geometric" or a number')
+    an = analyse(model)
     dec = modes(an)  # a failed residual check is reported before the verdict's
     bound = bound_state(an)
 
     warnings: list[str] = []
     mass_normalized = None
-    if req.mass_norm != "none":
-        m_ref = None if req.mass_norm == "geometric" else float(req.mass_norm)
+    if mass_norm != "none":
+        m_ref = None if mass_norm == "geometric" else mass_norm
         mass_normalized = mass_normalize(an, dec, m_ref)
 
     ground = None
-    levels = None
+    spectrum = None
     if bound.verdict == BOUND:
-        if req.levels > 0:
+        if levels > 0:
             ground = ground_state_energy(dec, model.hbar)
-            levels = lowest_levels(dec, model.hbar, req.levels)
+            spectrum = lowest_levels(dec, model.hbar, levels)
     else:
         failed = next(
             m for m in bound.per_minor if m.status in ("negative", "marginal")
@@ -284,7 +261,7 @@ def run_analysis(req: AnalysisRequest) -> AnalysisReport:
         mass_normalized=mass_normalized,
         bound=bound,
         ground_energy=ground,
-        levels=levels,
+        levels=spectrum,
         warnings=tuple(warnings),
     )
 
@@ -544,19 +521,12 @@ def _cmd_analyze(args) -> int:
                 f'--mass-norm must be "none", "geometric" or a number, '
                 f"got {mass_norm!r}"
             ) from None
-    req = AnalysisRequest(
-        model=model,
-        levels=args.levels,
-        mass_norm=mass_norm,
-        output_format=args.format,
-        tolerance_override=args.tol,
-    )
-    report = run_analysis(req)
-    if req.output_format == "json":
+    report = run_analysis(model, args.levels, mass_norm)
+    if args.format == "json":
         print(dumps_json(report_to_dict(report)))
     else:
         print(render_text(report), end="")
-    return report.exit_code
+    return _EXIT_BY_VERDICT[report.bound.verdict]
 
 
 def _cmd_check(args) -> int:
@@ -629,8 +599,16 @@ def _cmd_sweep(args) -> int:
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad command line raises ParseError, so that it exits 3 like any
+    other bad input rather than 2, which means Marginal."""
+
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cho",
         description="Normal modes, bound-state conditions and energy spectra "
         "of coupled harmonic oscillators.",
@@ -644,8 +622,6 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--mass-norm", default="none",
                          help='"none", "geometric" or an explicit reference mass')
     analyze.add_argument("--format", choices=("text", "json"), default="text")
-    analyze.add_argument("--tol", type=float, default=None,
-                         help="eigensolver tolerance override")
 
     check = sub.add_parser("check", help="print the verdict only")
     check.add_argument("model", help="model JSON file")
@@ -664,9 +640,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     handlers = {"analyze": _cmd_analyze, "check": _cmd_check, "sweep": _cmd_sweep}
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except (ChoError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -85,7 +85,7 @@ class Analysis:
     eig: EigDecomposition
 
 
-def analyse(model: OscillatorModel, tol: float = 1e-12) -> Analysis:
+def analyse(model: OscillatorModel) -> Analysis:
     """Compute each matrix of an Analysis of a (valid) model once.
 
     Raises NotPositiveDefinite naming the kinetic matrix when T is not
@@ -107,7 +107,7 @@ def analyse(model: OscillatorModel, tol: float = 1e-12) -> Analysis:
             f"max|S| = {smax:.3e} is too large for the minor margin "
             f"(max|S|^{model.n} overflows)"
         ]) from None
-    return Analysis(model, t, v, root, s, jacobi_eigh(s, tol=tol))
+    return Analysis(model, t, v, root, s, jacobi_eigh(s))
 
 
 @dataclass(frozen=True)
@@ -205,7 +205,9 @@ def mass_normalize(an: Analysis, dec: ModeDecomposition,
     if m_ref is None:
         m_ref = float(np.exp(np.mean(np.log(an.model.masses))))
     m_ref = float(m_ref)
-    if not np.isfinite(m_ref) or m_ref <= 0.0:
+    if not math.isfinite(m_ref):
+        raise ValueError(f"m_ref must be finite, got {m_ref}")
+    if m_ref <= 0.0:
         raise ValueError(f"m_ref must be > 0, got {m_ref}")
     c = np.sqrt(m_ref) * dec.c
     k = np.diagonal(c.T @ an.v.mat @ c)
@@ -213,7 +215,7 @@ def mass_normalize(an: Analysis, dec: ModeDecomposition,
                                        lambdas=frozen(k / m_ref))
 
 
-def decompose(model: OscillatorModel, tol: float = 1e-12) -> ModeDecomposition:
+def decompose(model: OscillatorModel) -> ModeDecomposition:
     """Full normal-mode decomposition with eager residual checks.
 
     Raises
@@ -223,11 +225,11 @@ def decompose(model: OscillatorModel, tol: float = 1e-12) -> ModeDecomposition:
     ConsistencyError
         If any transformation residual exceeds its budget.
     """
-    return modes(analyse(model, tol))
+    return modes(analyse(model))
 
 
-def decompose_mass_normalized(model: OscillatorModel, m_ref: float | None = None,
-                              tol: float = 1e-12) -> MassNormalizedDecomposition:
+def decompose_mass_normalized(model: OscillatorModel,
+                              m_ref: float | None = None) -> MassNormalizedDecomposition:
     """``decompose`` scaled to a reference mass; see ``mass_normalize``."""
-    an = analyse(model, tol)
+    an = analyse(model)
     return mass_normalize(an, modes(an), m_ref)

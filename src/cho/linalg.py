@@ -42,6 +42,8 @@ MAX_DIM = 16
 
 # relative spread below which two sorted eigenvalues count as degenerate
 _TIE_RTOL = 1e-12
+# Jacobi stops when off-diagonal Frobenius norm <= this * (1 + diagonal norm)
+_JACOBI_TOL = 1e-12
 
 
 def max_abs(a) -> float:
@@ -135,16 +137,13 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return np.negative(vectors, out=vectors, where=flip)
 
 
-def jacobi_eigh(s, tol: float = 1e-12, max_sweeps: int = 50) -> EigDecomposition:
+def jacobi_eigh(s, max_sweeps: int = 50) -> EigDecomposition:
     """Diagonalize a symmetric matrix by cyclic Jacobi rotations.
 
     Parameters
     ----------
     s : SymMatrix or array_like
         Matrix to diagonalize.  Arrays are symmetry-checked first.
-    tol : float
-        Convergence threshold: the off-diagonal Frobenius norm must fall
-        below ``tol * (1 + diagonal Frobenius norm)``.
     max_sweeps : int
         Upper bound on full row-cyclic sweeps.
 
@@ -184,7 +183,7 @@ def jacobi_eigh(s, tol: float = 1e-12, max_sweeps: int = 50) -> EigDecomposition
         return math.sqrt(2.0) * math.hypot(*[x for i, row in enumerate(a) for x in row[:i]])
 
     sweeps = 0
-    while offdiag() > tol * (1.0 + math.hypot(*[a[i][i] for i in range(n)])):
+    while offdiag() > _JACOBI_TOL * (1.0 + math.hypot(*[a[i][i] for i in range(n)])):
         if sweeps >= max_sweeps:
             raise NonConvergence(sweeps, offdiag())
         for p in range(n - 1):

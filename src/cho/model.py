@@ -115,7 +115,9 @@ def validate(model: OscillatorModel) -> list[str]:
     if not 1 <= n <= MAX_DIM:
         bad.append(f"number of oscillators must be in [1, {MAX_DIM}], got {n}")
     for i, m in enumerate(model.masses.tolist()):
-        if not np.isfinite(m) or m <= 0.0:
+        if not np.isfinite(m):
+            bad.append(f"masses[{i}] must be finite")
+        elif m <= 0.0:
             bad.append(f"masses[{i}] must be > 0")
         elif model.kinetic_override is None and not np.isfinite(1.0 / m):
             bad.append(f"masses[{i}] = {m:.3g} is too small: 1/m overflows")
@@ -132,7 +134,9 @@ def validate(model: OscillatorModel) -> list[str]:
             bad.append(f"coupling ({i}, {j}) out of range for n={n}")
         if not np.isfinite(value):
             bad.append(f"coupling ({i}, {j}) must be finite")
-    if not np.isfinite(model.hbar) or model.hbar <= 0.0:
+    if not np.isfinite(model.hbar):
+        bad.append("hbar must be finite")
+    elif model.hbar <= 0.0:
         bad.append("hbar must be > 0")
     if model.kinetic_override is not None:
         if not isinstance(model.kinetic_override, SymMatrix):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import re
 import subprocess
 import sys
@@ -12,7 +13,6 @@ import numpy as np
 import pytest
 
 from cho import (
-    AnalysisRequest,
     OscillatorModel,
     ParseError,
     ValidationError,
@@ -169,9 +169,46 @@ def test_parse_lists_file_violations_before_model_violations(tmp_path, capsys):
     assert main(["check", path]) == 3
     assert capsys.readouterr().err == (
         'error: invalid model: "omegas" must match "masses" in length; '
+        "couplings[0]: self-coupling forbidden, got (1, 1); "
         "couplings[1]: indices are 1-based, got (0, 2); masses[0] must be > 0; "
-        "coupling (0, 0): self-coupling forbidden; hbar must be > 0\n"
+        "hbar must be > 0\n"
     )
+
+
+def test_parse_names_couplings_in_file_terms(tmp_path, capsys):
+    path = write_model(tmp_path, {"masses": [1, 1, 1], "stiffness_diag": [1, 1, 1],
+                                  "couplings": [[1, 5, 0.1], [2, 2, 0.3]]})
+    assert main(["check", path]) == 3
+    assert capsys.readouterr().err == (
+        "error: invalid model: couplings[0]: indices must be <= n=3, got (1, 5); "
+        "couplings[1]: self-coupling forbidden, got (2, 2)\n"
+    )
+
+
+def test_parse_omegas_stiffness_bits_match_from_frequencies():
+    rng = random.Random(25)
+    pairs = [(1.2431526306379115, 1.6237276619718453)]
+    pairs += [(rng.uniform(0.5, 2.0), rng.uniform(0.5, 3.0)) for _ in range(1000)]
+    for start in range(0, len(pairs), 16):
+        masses, omegas = zip(*pairs[start:start + 16])
+        parsed = parse_model_dict({"masses": list(masses), "omegas": list(omegas)})
+        direct = OscillatorModel.from_frequencies(masses, omegas)
+        assert parsed.stiffness_diag.tobytes() == direct.stiffness_diag.tobytes()
+
+
+@pytest.mark.parametrize("text,extra,message", [
+    ('{"masses": [1e400, 1], "stiffness_diag": [1, 1]}', [],
+     "invalid model: masses[0] must be finite"),
+    ('{"masses": [1, 1], "stiffness_diag": [1, 1], "hbar": 1e400}', [],
+     "invalid model: hbar must be finite"),
+    ('{"masses": [1, 1], "stiffness_diag": [1, 1]}', ["--mass-norm", "inf"],
+     "m_ref must be finite, got inf"),
+], ids=["mass", "hbar", "m_ref"])
+def test_non_finite_value_is_named_non_finite(tmp_path, capsys, text, extra, message):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    assert main(["analyze", str(path)] + extra) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # --- serialization ---------------------------------------------------------------
@@ -225,7 +262,7 @@ MODEL_FILES = sorted(DEMO_MODELS.glob("*.json")) + sorted(DATA.glob("*.json"))
 @pytest.mark.parametrize("path", MODEL_FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_dumps_json_matches_reference_on_reports(path):
     model = parse_model_file(str(path))
-    report = run_analysis(AnalysisRequest(model=model, levels=200, mass_norm="geometric"))
+    report = run_analysis(model, levels=200, mass_norm="geometric")
     doc = report_to_dict(report)
     assert dumps_json(doc) == reference_dumps_json(doc)
 
@@ -264,7 +301,7 @@ def test_report_model_block_round_trips_bit_exact():
             },
             hbar=float(rng.uniform(0.5, 2.0)),
         )
-        report = run_analysis(AnalysisRequest(model=model, levels=0))
+        report = run_analysis(model, levels=0)
         doc = json.loads(dumps_json(report_to_dict(report)))
         back = parse_model_dict(doc["model"])
         assert np.array_equal(build_T(back).mat, build_T(model).mat)
@@ -274,7 +311,7 @@ def test_report_model_block_round_trips_bit_exact():
 
 def test_json_report_structure():
     model = parse_model_file(str(DATA / "identical_triple.json"))
-    report = run_analysis(AnalysisRequest(model=model))
+    report = run_analysis(model)
     doc = json.loads(dumps_json(report_to_dict(report)))
     assert list(doc) == [
         "model", "matrices", "modes", "bound_state", "spectrum", "warnings",
@@ -291,7 +328,7 @@ def test_unbound_json_report_has_no_spectrum(tmp_path):
         {"masses": [1, 1, 1], "omegas": [1, 1, 1],
          "couplings": [[1, 2, 3.0], [1, 3, 3.0], [2, 3, 3.0]]},
     )
-    report = run_analysis(AnalysisRequest(model=parse_model_file(path)))
+    report = run_analysis(parse_model_file(path))
     doc = json.loads(dumps_json(report_to_dict(report)))
     assert "spectrum" not in doc
     assert any("minor" in w for w in doc["warnings"])
@@ -331,6 +368,28 @@ def test_errors_exit_3(tmp_path, capsys):
     assert main(["check", str(tmp_path / "absent.json")]) == 3
     err = capsys.readouterr().err
     assert "masses[0] must be > 0" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", str(DATA / "two_coupled.json"), "--bogus"],
+    ["check"],
+    ["sweep", str(DATA / "two_coupled.json"), "--param", "D:1,2",
+     "--from", "0", "--to", "1", "--steps", "x"],
+    ["analyze", str(DATA / "two_coupled.json"), "--tol", "1e-6"],
+], ids=["analyze-unknown-flag", "check-no-model", "sweep-bad-steps", "analyze-tol"])
+def test_bad_command_line_exits_3_with_one_error_line(capsys, argv):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: ")
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "-h"])
+    assert exc.value.code == 0
+    assert "usage: cho check" in capsys.readouterr().out
 
 
 def test_unbound_analyze_warns_with_failing_minor(tmp_path, capsys):
@@ -636,7 +695,7 @@ def test_explicit_reference_mass_of_any_size(m_ref, capsys):
 
 def test_mass_normalized_report_block_equals_library_call():
     model = parse_model_file(str(DATA / "identical_triple.json"))
-    block = run_analysis(AnalysisRequest(model=model, mass_norm="geometric")).mass_normalized
+    block = run_analysis(model, mass_norm="geometric").mass_normalized
     direct = decompose_mass_normalized(model)
     assert block.m_ref == direct.m_ref
     for name in ("k", "c", "lambdas"):
@@ -723,18 +782,14 @@ def test_golden_text_reports(model_file, golden, args, capsys):
 # --- request validation and module entry point ------------------------------------
 
 
-def test_analysis_request_rejects_bad_fields():
+def test_run_analysis_rejects_bad_arguments():
     model = OscillatorModel.identical(2, d=0.5)
     with pytest.raises(ValueError):
-        AnalysisRequest(model=model, levels=-1)
+        run_analysis(model, levels=-1)
     with pytest.raises(ValueError):
-        AnalysisRequest(model=model, mass_norm="harmonic")
+        run_analysis(model, mass_norm="harmonic")
     with pytest.raises(ValueError):
-        AnalysisRequest(model=model, mass_norm=-2.0)
-    with pytest.raises(ValueError):
-        AnalysisRequest(model=model, output_format="xml")
-    with pytest.raises(ValueError):
-        AnalysisRequest(model=model, tolerance_override=0.0)
+        run_analysis(model, mass_norm=-2.0)
 
 
 def test_module_entry_point_runs():
